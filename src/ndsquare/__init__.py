@@ -2,98 +2,37 @@
 Helmholtz equation on the unit square: closed-form matrix assembly,
 lattice eigenvalue counting, an exact solution-operator oracle, and
 experiment drivers comparing measured negative-eigenvalue counts with
-the theoretical dimension bound."""
+the theoretical dimension bound.
 
-from .experiments import (
-    BoundReport,
-    CrossingReport,
-    TrajectoryPoint,
-    sweep,
-    trajectories,
-    verify_crossing,
-)
-from .linalg import (
-    SpectrumReport,
-    count_negative,
-    difference_truncation_error,
-    spectral_norm,
-    spectrum_report,
-    symmetric_eigenvalues,
-    truncation_error,
-)
-from .nd_matrix import (
-    NdMatrix,
-    adjacent_next_entry,
-    adjacent_prev_entry,
-    assemble,
-    assemble_series_oracle,
-    dump_matrix,
-    dumps_matrix,
-    load_matrix,
-    normalizer,
-    opposite_side_entry,
-    overlap_integral,
-    same_side_entry,
-    sum_formula,
-)
-from .solution_op import (
-    embedding_eigenvalue,
-    exact_negative_count,
-    solution_diff_coefficient,
-)
+The package namespace holds the names the README uses; everything else
+is imported from the submodules."""
+
+from .experiments import sweep, verify_crossing
+from .linalg import difference_truncation_error, truncation_error
+from .nd_matrix import assemble, assemble_series_oracle, load_matrix
+from .solution_op import exact_negative_count
 from .spectrum import (
-    DEFAULT_GUARD,
-    ModeIndex,
     ProblemParams,
     ResonanceError,
-    construct_even_multiplicity,
-    is_resonant,
     multiplicity,
     negative_eigenvalue_bound,
-    neumann_eigenvalue,
     positive_eigenvalue_count,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
-    "CrossingReport",
-    "DEFAULT_GUARD",
-    "ModeIndex",
-    "NdMatrix",
     "ProblemParams",
     "ResonanceError",
-    "SpectrumReport",
-    "TrajectoryPoint",
-    "adjacent_next_entry",
-    "adjacent_prev_entry",
     "assemble",
     "assemble_series_oracle",
-    "construct_even_multiplicity",
-    "count_negative",
     "difference_truncation_error",
-    "dump_matrix",
-    "dumps_matrix",
-    "embedding_eigenvalue",
     "exact_negative_count",
-    "is_resonant",
     "load_matrix",
     "multiplicity",
     "negative_eigenvalue_bound",
-    "neumann_eigenvalue",
-    "normalizer",
-    "opposite_side_entry",
-    "overlap_integral",
     "positive_eigenvalue_count",
-    "same_side_entry",
-    "solution_diff_coefficient",
-    "spectral_norm",
-    "spectrum_report",
-    "sum_formula",
     "sweep",
-    "symmetric_eigenvalues",
-    "trajectories",
     "truncation_error",
     "verify_crossing",
 ]

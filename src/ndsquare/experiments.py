@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .linalg import DEFAULT_DELTA, count_negative, symmetric_eigenvalues
 from .nd_matrix import assemble
@@ -112,6 +114,38 @@ def _theoretical_bound(a: float, b: float, k: float, guard: float) -> int:
     return negative_eigenvalue_bound(a, b, k, guard)
 
 
+def _difference_spectra(
+    a: float,
+    b_values: Sequence[float],
+    k: float,
+    modes_per_side: int,
+    guard: float,
+) -> Iterator[tuple[float, np.ndarray | None]]:
+    """Yield (b, descending spectrum of Λ(b) − Λ(a)) in grid order.
+
+    The spectrum is None for a resonant b.  The base coefficient a is
+    validated and its matrix assembled once, on the first ``next``.
+    """
+    if is_resonant(a, k, guard):
+        raise ResonanceError(f"base coefficient a={a!r} is resonant")
+    if any(b < a for b in b_values):
+        raise ValueError("b >= a is required at every grid point")
+    base = assemble(
+        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
+    ).entries
+    for b in b_values:
+        if is_resonant(b, k, guard):
+            yield b, None
+            continue
+        diff = assemble(
+            ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard)
+        ).entries
+        # in place: one fewer matrix-sized temporary per point, which
+        # measurably cuts page faults in long sweeps
+        diff -= base
+        yield b, symmetric_eigenvalues(diff)
+
+
 def sweep(
     a: float,
     b_values: Sequence[float],
@@ -126,17 +160,9 @@ def sweep(
     b must satisfy b >= a; resonant b values produce skipped reports.
     A resonant a is an error (the whole sweep would be meaningless).
     """
-    if is_resonant(a, k, guard):
-        raise ResonanceError(f"sweep base coefficient a={a!r} is resonant")
-    if any(b < a for b in b_values):
-        raise ValueError("sweep requires b >= a at every grid point")
-    base = assemble(
-        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
-    ).entries
-
     reports: list[BoundReport] = []
-    for b in b_values:
-        if is_resonant(b, k, guard):
+    for b, eigs in _difference_spectra(a, b_values, k, modes_per_side, guard):
+        if eigs is None:
             reports.append(
                 BoundReport(
                     a=a, b=b, k=k, modes_per_side=modes_per_side, delta=delta,
@@ -146,10 +172,6 @@ def sweep(
                 )
             )
             continue
-        other = assemble(
-            ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard)
-        ).entries
-        eigs = symmetric_eigenvalues(other - base)
         reports.append(
             BoundReport(
                 a=a, b=b, k=k, modes_per_side=modes_per_side, delta=delta,
@@ -171,30 +193,15 @@ def trajectories(
     guard: float = DEFAULT_GUARD,
 ) -> list[TrajectoryPoint]:
     """Descending spectrum of the difference matrix for each b."""
-    if is_resonant(a, k, guard):
-        raise ResonanceError(f"trajectories base coefficient a={a!r} is resonant")
-    if any(b < a for b in b_values):
-        raise ValueError("trajectories requires b >= a at every grid point")
-    base = assemble(
-        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
-    ).entries
-
-    points: list[TrajectoryPoint] = []
-    for b in b_values:
-        if is_resonant(b, k, guard):
-            points.append(TrajectoryPoint(b=b, skipped=True, eigenvalues=None))
-            continue
-        other = assemble(
-            ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard)
-        ).entries
-        eigs = symmetric_eigenvalues(other - base)
-        points.append(
-            TrajectoryPoint(
-                b=b, skipped=False,
-                eigenvalues=tuple(float(v) for v in eigs),
-            )
+    return [
+        TrajectoryPoint(
+            b=b, skipped=eigs is None,
+            eigenvalues=None if eigs is None else tuple(float(v) for v in eigs),
         )
-    return points
+        for b, eigs in _difference_spectra(
+            a, b_values, k, modes_per_side, guard
+        )
+    ]
 
 
 def _check_window_isolated(n: int, eps: float, k: float) -> None:
@@ -221,13 +228,12 @@ def _measure_crossing(
     guard: float,
 ) -> int:
     c = PI2 * n / (k * k)
-    upper = assemble(
-        ProblemParams(a=c + eps, k=k, modes_per_side=modes_per_side, guard=guard)
-    ).entries
-    lower = assemble(
-        ProblemParams(a=c - eps, k=k, modes_per_side=modes_per_side, guard=guard)
-    ).entries
-    return count_negative(symmetric_eigenvalues(upper - lower), delta)
+    ((upper, eigs),) = _difference_spectra(
+        c - eps, [c + eps], k, modes_per_side, guard
+    )
+    if eigs is None:
+        raise ResonanceError(f"crossing window end {upper!r} is resonant")
+    return count_negative(eigs, delta)
 
 
 def verify_crossing(

@@ -6,22 +6,23 @@ below -delta, so that truncation and rounding noise around zero is
 never mistaken for a genuine sign change.
 
 Two truncation-error estimators are provided.  ``truncation_error``
-compares one assembled matrix at ``modes_per_side`` J against its own
-assembly at J/2, zero-padded back to full size; because smaller
-frequencies occupy the lower indices (s = 4j + p), the padded matrix is
-exactly the upper-left corner of the full one and the difference is the
-discarded border.  For a *single* operator this border carries the
-slowly decaying same-side diagonal (~ 1/(pi*j)), so the estimate decays
-only like 1/modes_per_side.  ``difference_truncation_error`` applies
-the same comparison to the difference of two operators, where the
-diagonals cancel to O(1/j^3) and the estimate is several orders of
-magnitude smaller; this is the relevant quantity when counting negative
-eigenvalues of such differences.
+compares one assembled matrix at ``modes_per_side`` J against its
+truncation at J/2, zero-padded back to full size; because smaller
+frequencies occupy the lower indices (s = 4j + p), that truncation is
+exactly the upper-left 4*(J/2) corner of the one assembly and the
+difference is the discarded border.  For a *single* operator this
+border carries the slowly decaying same-side diagonal (~ 1/(pi*j)), so
+the estimate decays only like 1/modes_per_side.
+``difference_truncation_error`` applies the same comparison to the
+difference of two operators, where the diagonals cancel to O(1/j^3)
+and the estimate is several orders of magnitude smaller; this is the
+relevant quantity when counting negative eigenvalues of such
+differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,35 +101,35 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
-def _zero_padded_half(params: ProblemParams) -> tuple[np.ndarray, np.ndarray]:
-    j_modes = params.modes_per_side
-    if j_modes % 2 != 0:
+def _border_norm(matrix: np.ndarray, modes_per_side: int) -> float:
+    # spectral norm of the entries outside the upper-left 4*(J/2) corner
+    if modes_per_side % 2 != 0:
         raise ValueError(
             f"modes_per_side must be even to halve the truncation, "
-            f"got {j_modes}"
+            f"got {modes_per_side}"
         )
-    full = assemble(params).entries
-    half = assemble(replace(params, modes_per_side=j_modes // 2)).entries
-    padded = np.zeros_like(full)
-    padded[: half.shape[0], : half.shape[1]] = half
-    return full, padded
+    corner = 4 * (modes_per_side // 2)
+    border = matrix.copy()
+    border[:corner, :corner] = 0.0
+    return spectral_norm(border)
 
 
 def truncation_error(params: ProblemParams) -> float:
     """Spectral norm of the border lost when halving the truncation.
 
-    Assembles the matrix at ``params.modes_per_side`` and at half that
-    count, zero-pads the smaller one into the upper-left corner (which
-    the interleaved index order s = 4j + p makes the correct placement)
-    and returns the spectral norm of the difference.
+    Assembles the matrix at ``params.modes_per_side`` once and returns
+    the spectral norm of everything outside its upper-left corner of
+    half the mode count.  That corner is the assembly at half the mode
+    count (the interleaved index order s = 4j + p puts the low
+    frequencies there), so this is the norm of the difference to the
+    half-size matrix zero-padded back to full size.
 
     Decreases like 1/modes_per_side: the dominant lost entries are the
     same-side diagonal values ~ 1/(pi*j) at j = modes_per_side/2.  See
     :func:`difference_truncation_error` for the much smaller error of
     operator differences.
     """
-    full, padded = _zero_padded_half(params)
-    return spectral_norm(full - padded)
+    return _border_norm(assemble(params).entries, params.modes_per_side)
 
 
 def difference_truncation_error(
@@ -147,15 +148,6 @@ def difference_truncation_error(
     cancel in the difference, so this decays like
     |b - a| / modes_per_side^3.
     """
-    if modes_per_side % 2 != 0:
-        raise ValueError(
-            f"modes_per_side must be even to halve the truncation, "
-            f"got {modes_per_side}"
-        )
     mat_b = assemble(ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard))
     mat_a = assemble(ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard))
-    diff = mat_b.entries - mat_a.entries
-    corner = 4 * (modes_per_side // 2)
-    padded = np.zeros_like(diff)
-    padded[:corner, :corner] = diff[:corner, :corner]
-    return spectral_norm(diff - padded)
+    return _border_norm(mat_b.entries - mat_a.entries, modes_per_side)

@@ -102,19 +102,11 @@ def same_side_entry(
 
     Returns coth(s)/s with s = sqrt(pi^2*i^2 - a*k^2) when
     pi^2*i^2 > a*k^2, and -cot(s)/s with s = sqrt(a*k^2 - pi^2*i^2)
-    otherwise.  Raises :class:`ResonanceError` within the guard of the
-    branch point or of a cot pole (both are resonances).
+    otherwise: the plain :func:`sum_formula` at c = pi^2*i^2 - a*k^2.
+    Raises :class:`ResonanceError` within the guard of the branch point
+    or of a cot pole (both are resonances).
     """
-    c = PI2 * i * i - a * k * k
-    if abs(c) < guard:
-        raise ResonanceError(
-            f"pi^2*i^2 - a*k^2 = {c!r} is within {guard} of the branch point"
-        )
-    if c > 0:
-        return _coth_over(math.sqrt(c))
-    _check_trig_pole(-c, guard)
-    s = math.sqrt(-c)
-    return -math.cos(s) / (math.sin(s) * s)
+    return sum_formula("plain", PI2 * i * i - a * k * k, guard)
 
 
 def opposite_side_entry(
@@ -124,19 +116,11 @@ def opposite_side_entry(
 
     Returns (-1)^i * csch(s)/s for pi^2*i^2 > a*k^2 and
     -(-1)^i * csc(s)/s for pi^2*i^2 < a*k^2, s as in
-    :func:`same_side_entry`.
+    :func:`same_side_entry`: (-1)^i times the alternating
+    :func:`sum_formula`.
     """
-    c = PI2 * i * i - a * k * k
-    if abs(c) < guard:
-        raise ResonanceError(
-            f"pi^2*i^2 - a*k^2 = {c!r} is within {guard} of the branch point"
-        )
     sign = -1.0 if i % 2 else 1.0
-    if c > 0:
-        return sign * _csch_over(math.sqrt(c))
-    _check_trig_pole(-c, guard)
-    s = math.sqrt(-c)
-    return -sign / (math.sin(s) * s)
+    return sign * sum_formula("alternating", PI2 * i * i - a * k * k, guard)
 
 
 def adjacent_next_entry(
@@ -264,10 +248,9 @@ def assemble(params: ProblemParams) -> NdMatrix:
     truncations at different sizes agree on their common upper-left
     corner.
 
-    The analytic blocks are symmetric by construction (the offset-3
-    block is the transpose of the offset-1 block); the lower triangle
-    is nevertheless refilled from the upper one as a guard against
-    rounding asymmetry.
+    The matrix is exactly symmetric by construction: the offset-3 block
+    is the transpose of the offset-1 block and the offset-0 and
+    offset-2 blocks are diagonal.
     """
     j_modes = params.modes_per_side
     a, k, guard = params.a, params.k, params.guard
@@ -281,8 +264,10 @@ def assemble(params: ProblemParams) -> NdMatrix:
     block_next = sign[:, None] * d[:, None] * d[None, :] / denom
     block_prev = block_next.T
     block_same = np.diag([same_side_entry(i, a, k, guard) for i in idx])
+    # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
+    # so a dump never prints "-0"
     block_opposite = np.diag(
-        [opposite_side_entry(i, a, k, guard) for i in idx]
+        [opposite_side_entry(i, a, k, guard) + 0.0 for i in idx]
     )
 
     blocks = (block_same, block_next, block_opposite, block_prev)
@@ -290,8 +275,6 @@ def assemble(params: ProblemParams) -> NdMatrix:
     for p in range(4):
         for r in range(4):
             out[p::4, r::4] = blocks[(r - p) % 4]
-
-    out = np.triu(out) + np.triu(out, 1).T
     return NdMatrix(entries=out, params=params, method="closed_form")
 
 

@@ -134,13 +134,18 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     Only integer levels n with |a*k^2 - pi^2*n| < guard can qualify, so
     the scan covers the few integers around a*k^2/pi^2.  Negative
     thresholds are never resonant unless a*k^2 is within the guard of
-    zero (the l = m = 0 eigenvalue).
+    zero (the l = m = 0 eigenvalue).  A non-finite a*k^2 raises
+    ``ValueError``: it lies on neither side of any eigenvalue.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
     if not guard > 0:
         raise ValueError(f"guard must be positive, got {guard}")
     target = a * k * k
+    if not math.isfinite(target):
+        raise ValueError(
+            f"a*k^2 = {target!r} (a={a!r}, k={k!r}) is not a finite number"
+        )
     center = round(target / PI2)
     reach = math.ceil(guard / PI2) + 1
     for n in range(max(0, center - reach), center + reach + 1):
@@ -172,6 +177,16 @@ def _modes_strictly_below(l: int, target: float) -> int:
     return m
 
 
+def _modes_below(target: float) -> int:
+    """#{(l, m) : l, m >= 0 and pi^2*(l^2 + m^2) < target}."""
+    if target <= 0:
+        return 0
+    return sum(
+        _modes_strictly_below(l, target)
+        for l in range(math.isqrt(int(target / PI2)) + 2)
+    )
+
+
 def positive_eigenvalue_count(
     a: float, k: float = 1.0, guard: float = DEFAULT_GUARD
 ) -> int:
@@ -182,13 +197,9 @@ def positive_eigenvalue_count(
     sqrt(a*k^2)/pi.  Raises :class:`ResonanceError` when (a, k) is
     resonant, since the strict inequality is then meaningless.
     """
-    target = _checked_threshold(a, k, guard, "positive_eigenvalue_count")
-    if target <= 0:
-        return 0
-    count = 0
-    for l in range(math.isqrt(int(target / PI2)) + 2):
-        count += _modes_strictly_below(l, target)
-    return count
+    return _modes_below(
+        _checked_threshold(a, k, guard, "positive_eigenvalue_count")
+    )
 
 
 def negative_eigenvalue_bound(
@@ -209,13 +220,7 @@ def negative_eigenvalue_bound(
         raise ValueError(f"window requires a < b, got a={a}, b={b}")
     lo = _checked_threshold(a, k, guard, "negative_eigenvalue_bound (a)")
     hi = _checked_threshold(b, k, guard, "negative_eigenvalue_bound (b)")
-    if hi <= 0:
-        return 0
-    count = 0
-    for n in range(max(0, math.ceil(lo / PI2)), math.floor(hi / PI2) + 1):
-        if lo < PI2 * n < hi:
-            count += multiplicity(n)
-    return count
+    return _modes_below(hi) - _modes_below(lo)
 
 
 def construct_even_multiplicity(target: int) -> int:

@@ -38,6 +38,21 @@ class TestBound:
         assert "a < b" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--a", "-10"], ["sweep", "--a", "-10", "--size", "8"]],
+    ids=["bound", "sweep"],
+)
+def test_non_finite_b_exits_2(capsys, argv, value):
+    code, out, err = run(capsys, *argv, f"--b={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ndsquare {argv[0]}:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -166,6 +166,13 @@ class TestNegativeEigenvalueBound:
         assert bound == positive_eigenvalue_count(
             b, k
         ) - positive_eigenvalue_count(a, k)
+        # independent oracle: multiplicities of the levels in the window
+        lo, hi = a * k * k, b * k * k
+        assert bound == sum(
+            multiplicity(n)
+            for n in range(max(0, math.ceil(lo / PI2)), math.floor(hi / PI2) + 1)
+            if lo < PI2 * n < hi
+        )
         assert bound >= 0
 
 
