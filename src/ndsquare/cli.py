@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -35,6 +36,9 @@ SWEEP_CSV_HEADER = (
     "min_eigenvalue,max_eigenvalue,skipped"
 )
 TRAJECTORIES_CSV_HEADER = "b,index,eigenvalue"
+
+#: Largest number of points a --b-min/--b-max/--b-step grid may have.
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,12 +145,22 @@ def _b_grid(parser: _Parser, args: argparse.Namespace) -> list[float]:
         return list(args.b)
     if args.b_min is None or args.b_max is None or args.b_step is None:
         parser.error("--b-min, --b-max and --b-step must be given together")
+    for flag, value in (("--b-min", args.b_min), ("--b-max", args.b_max),
+                        ("--b-step", args.b_step)):
+        if not math.isfinite(value):
+            parser.error(f"{flag} must be finite, got {value}")
     if args.b_step <= 0:
         parser.error(f"--b-step must be positive, got {args.b_step}")
     if args.b_max < args.b_min:
         parser.error("--b-max must be >= --b-min")
-    count = int((args.b_max - args.b_min) / args.b_step + 1e-9) + 1
-    return [args.b_min + i * args.b_step for i in range(count)]
+    # the span may still overflow to inf, e.g. from -1e308 to 1e308
+    span = (args.b_max - args.b_min) / args.b_step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        parser.error(
+            f"the --b-min/--b-max/--b-step grid has more than "
+            f"{MAX_GRID_POINTS} points"
+        )
+    return [args.b_min + i * args.b_step for i in range(int(span) + 1)]
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -5,6 +5,12 @@ the experiments: an eigenvalue counts as negative only when it lies
 below -delta, so that truncation and rounding noise around zero is
 never mistaken for a genuine sign change.
 
+``circulant_spectrum`` computes the spectrum of the block-circulant
+Neumann-to-Dirichlet matrix, or of a difference of two, from its side
+blocks by five small real symmetric eigensolves; the experiments and
+both estimators use it.  ``symmetric_eigenvalues`` of the dense matrix
+is its test oracle.
+
 Two truncation-error estimators are provided.  ``truncation_error``
 compares one assembled matrix at ``modes_per_side`` J against its
 truncation at J/2, zero-padded back to full size; because smaller
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nd_matrix import assemble
+from .nd_matrix import side_blocks
 from .spectrum import DEFAULT_GUARD, ProblemParams
 
 #: Relative asymmetry accepted by the symmetric eigensolver front-end.
@@ -101,17 +107,64 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
-def _border_norm(matrix: np.ndarray, modes_per_side: int) -> float:
-    # spectral norm of the entries outside the upper-left 4*(J/2) corner
+def circulant_spectrum(
+    same: np.ndarray, opposite: np.ndarray, block_next: np.ndarray
+) -> np.ndarray:
+    """Descending spectrum of the block-circulant matrix of the side blocks.
+
+    ``same`` and ``opposite`` are the offset-0 and offset-2 diagonals
+    and ``block_next`` the offset-1 block N, as returned by
+    :func:`~ndsquare.nd_matrix.side_blocks` (or differences of them);
+    the 4J eigenvalues are those of the dense matrix that
+    :func:`~ndsquare.nd_matrix.assemble` would interleave from them.
+
+    The 4-point DFT over the side index splits that matrix into
+    ``diag(same + opposite) ± (N + N^T)`` and, twice, the Hermitian
+    ``diag(same - opposite) + i(N - N^T)``.  Entry (i, j) of N carries
+    the sign (-1)^i, so N + N^T vanishes between modes of different
+    parity and N - N^T between modes of equal parity: the first two
+    split further into their even-i and odd-i halves, and conjugating
+    the third by diag(i^(j mod 2)) makes it real symmetric.  That is
+    four real symmetric eigensolves of order about J/2 and one of order
+    J, instead of one of order 4J (Davis, *Circulant Matrices*, 1979).
+
+    Every block is symmetric by construction, so no symmetry check is
+    made.  The dense path, :func:`symmetric_eigenvalues` of the
+    assembled matrix, is the test oracle for this one.
+    """
+    sym = block_next + block_next.T
+    skew = block_next - block_next.T
+    parity = np.arange(len(same)) % 2
+    plus = same + opposite
+    parts = []
+    for half in (slice(0, None, 2), slice(1, None, 2)):
+        diag = np.diag(plus[half])
+        parts.append(np.linalg.eigvalsh(diag + sym[half, half]))
+        parts.append(np.linalg.eigvalsh(diag - sym[half, half]))
+    twist = parity[:, None] - parity[None, :]
+    rotation = np.linalg.eigvalsh(np.diag(same - opposite) + twist * skew)
+    parts += [rotation, rotation]
+    return np.sort(np.concatenate(parts))[::-1]
+
+
+def _border_norm(
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray], modes_per_side: int
+) -> float:
+    # spectral norm of the entries outside the upper-left 4*(J/2) corner;
+    # zeroing the first J/2 modes of every side block (in place) keeps
+    # the matrix block-circulant, so the block solver applies
     if modes_per_side % 2 != 0:
         raise ValueError(
             f"modes_per_side must be even to halve the truncation, "
             f"got {modes_per_side}"
         )
-    corner = 4 * (modes_per_side // 2)
-    border = matrix.copy()
-    border[:corner, :corner] = 0.0
-    return spectral_norm(border)
+    half = modes_per_side // 2
+    same, opposite, block_next = blocks
+    same[:half] = 0.0
+    opposite[:half] = 0.0
+    block_next[:half, :half] = 0.0
+    eigs = circulant_spectrum(same, opposite, block_next)
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
 def truncation_error(params: ProblemParams) -> float:
@@ -122,14 +175,16 @@ def truncation_error(params: ProblemParams) -> float:
     half the mode count.  That corner is the assembly at half the mode
     count (the interleaved index order s = 4j + p puts the low
     frequencies there), so this is the norm of the difference to the
-    half-size matrix zero-padded back to full size.
+    half-size matrix zero-padded back to full size.  The border is
+    block-circulant like the matrix, so its norm comes from
+    :func:`circulant_spectrum` of the side blocks.
 
     Decreases like 1/modes_per_side: the dominant lost entries are the
     same-side diagonal values ~ 1/(pi*j) at j = modes_per_side/2.  See
     :func:`difference_truncation_error` for the much smaller error of
     operator differences.
     """
-    return _border_norm(assemble(params).entries, params.modes_per_side)
+    return _border_norm(side_blocks(params), params.modes_per_side)
 
 
 def difference_truncation_error(
@@ -148,6 +203,12 @@ def difference_truncation_error(
     cancel in the difference, so this decays like
     |b - a| / modes_per_side^3.
     """
-    mat_b = assemble(ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard))
-    mat_a = assemble(ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard))
-    return _border_norm(mat_b.entries - mat_a.entries, modes_per_side)
+    blocks = side_blocks(
+        ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard)
+    )
+    base = side_blocks(
+        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
+    )
+    for block, base_block in zip(blocks, base):
+        block -= base_block
+    return _border_norm(blocks, modes_per_side)

@@ -22,6 +22,15 @@ with the closed forms implemented by ``same_side_entry``,
 matrix; truncation keeps modes j < modes_per_side per side, giving a
 dense symmetric matrix of size 4*modes_per_side.
 
+``side_blocks`` evaluates the three distinct blocks once (the offset-0
+and offset-2 diagonals and the offset-1 block; offset 3 is its
+transpose).  The experiments and the truncation estimators never form
+the dense matrix: :func:`~ndsquare.linalg.circulant_spectrum` splits
+the block-circulant operator by the square's symmetry into four real
+symmetric eigenproblems of order about J/2 and one of order J.
+``assemble`` interleaves the same blocks into the dense matrix, which
+remains the test oracle for that solver and the content of the dump.
+
 ``assemble_series_oracle`` recomputes every entry by truncating the
 underlying double series over interior modes (l, m),
 
@@ -239,18 +248,18 @@ class NdMatrix:
         return float(np.max(np.abs(self.entries - self.entries.T) / denom))
 
 
-def assemble(params: ProblemParams) -> NdMatrix:
-    """Assemble the truncated matrix from the closed-form block entries.
+def side_blocks(
+    params: ProblemParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three distinct side blocks of the truncated matrix.
 
-    The (4i+p, 4j+r) entry is the (i, j) entry of the block selected by
-    the side offset (r - p) mod 4 (0 same side, 1 next ccw, 2 opposite,
-    3 previous).  Entries are exact values of the infinite matrix, so
-    truncations at different sizes agree on their common upper-left
-    corner.
-
-    The matrix is exactly symmetric by construction: the offset-3 block
-    is the transpose of the offset-1 block and the offset-0 and
-    offset-2 blocks are diagonal.
+    Returns ``(same, opposite, block_next)``: the same-side (offset 0)
+    and opposite-side (offset 2) diagonals as length-J vectors, and the
+    J×J next-side (offset 1) block.  The previous-side (offset 3) block
+    is ``block_next.T``.  These are the only closed-form evaluations of
+    the matrix; :func:`assemble` interleaves them and
+    :func:`~ndsquare.linalg.circulant_spectrum` solves them without
+    forming the dense matrix.
     """
     j_modes = params.modes_per_side
     a, k, guard = params.a, params.k, params.guard
@@ -262,15 +271,32 @@ def assemble(params: ProblemParams) -> NdMatrix:
 
     denom = PI2 * (idx[:, None] ** 2 + idx[None, :] ** 2) - ak2
     block_next = sign[:, None] * d[:, None] * d[None, :] / denom
-    block_prev = block_next.T
-    block_same = np.diag([same_side_entry(i, a, k, guard) for i in idx])
+    same = np.array([same_side_entry(i, a, k, guard) for i in idx])
     # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
     # so a dump never prints "-0"
-    block_opposite = np.diag(
+    opposite = np.array(
         [opposite_side_entry(i, a, k, guard) + 0.0 for i in idx]
     )
+    return same, opposite, block_next
 
-    blocks = (block_same, block_next, block_opposite, block_prev)
+
+def assemble(params: ProblemParams) -> NdMatrix:
+    """Assemble the dense truncated matrix from the closed-form blocks.
+
+    The (4i+p, 4j+r) entry is the (i, j) entry of the block selected by
+    the side offset (r - p) mod 4 (0 same side, 1 next ccw, 2 opposite,
+    3 previous), taken from :func:`side_blocks`.  Entries are exact
+    values of the infinite matrix, so truncations at different sizes
+    agree on their common upper-left corner.
+
+    The matrix is exactly symmetric by construction: the offset-3 block
+    is the transpose of the offset-1 block and the offset-0 and
+    offset-2 blocks are diagonal.  The experiments never form it; it is
+    the oracle for the block solver and the source of the dump.
+    """
+    j_modes = params.modes_per_side
+    same, opposite, block_next = side_blocks(params)
+    blocks = (np.diag(same), block_next, np.diag(opposite), block_next.T)
     out = np.empty((4 * j_modes, 4 * j_modes))
     for p in range(4):
         for r in range(4):

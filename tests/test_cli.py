@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +93,46 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--b-min", "0", "--b-max", "inf", "--b-step", "1"],
+        ["--b-min=-inf", "--b-max", "0", "--b-step", "1"],
+        ["--b-min", "0", "--b-max", "1", "--b-step", "nan"],
+        ["--b-min", "0", "--b-max", "1", "--b-step", "inf"],
+        ["--b-min=-1e308", "--b-max=1e308", "--b-step", "1"],
+    ],
+    ids=["b-max-inf", "b-min-inf", "step-nan", "step-inf", "span-overflow"],
+)
+def test_unusable_grid_exits_1_with_one_line(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--a=-1e308", *grid, "--size", "8"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+def test_tiny_step_is_refused_before_building_the_grid(capsys):
+    # 1e300 points: refused from the point count, without allocating
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["sweep", "--a", "-10", "--b-min", "0", "--b-max", "1",
+                 "--b-step", "1e-300", "--size", "8"]
+            )
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 1
+    assert elapsed < 2.0
+    assert peak < 1_000_000
+    assert "more than" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_csv_schema_and_skipped_row(self, capsys):
         code, out, err = run(
@@ -119,6 +161,14 @@ class TestSweepCommand:
         assert run(capsys, *args, "--out", str(path2))[0] == 0
         assert path1.read_bytes() == path2.read_bytes()
         assert path1.read_text().splitlines()[0] == SWEEP_CSV_HEADER
+
+    def test_equal_coefficients_print_positive_zero(self, capsys):
+        # the difference is the zero matrix; its extremes must not be -0
+        code, out, _ = run(
+            capsys, "sweep", "--a", "-10", "--b", "-10", "--size", "16",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "-10,0,0,0,0,0"
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -214,6 +264,16 @@ class TestCrossingCommand:
         code, _, err = run(capsys, "crossing", "--n", "3", "--size", "40")
         assert code == 2
         assert "sum of two squares" in err
+
+    @pytest.mark.parametrize("k", ["1e-200", "1e-155", "1e200", "nan"])
+    def test_k_squared_not_normal_exits_2(self, capsys, k):
+        # 1e-200 squares to 0.0, which the level pi^2*n/k^2 divides by
+        code, out, err = run(capsys, "crossing", "--n", "5", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ndsquare crossing:")
+        assert err.count("\n") == 1
+        assert "normal float" in err
 
 
 class TestAssembleDumpCommand:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ndsquare.linalg import (
+    circulant_spectrum,
     count_negative,
     difference_truncation_error,
     spectral_norm,
@@ -13,8 +14,14 @@ from ndsquare.linalg import (
     symmetric_eigenvalues,
     truncation_error,
 )
-from ndsquare.nd_matrix import assemble
-from ndsquare.spectrum import ProblemParams
+from ndsquare.nd_matrix import (
+    adjacent_next_entry,
+    assemble,
+    opposite_side_entry,
+    same_side_entry,
+    side_blocks,
+)
+from ndsquare.spectrum import ProblemParams, is_resonant
 
 
 def random_symmetric(n, seed):
@@ -169,3 +176,68 @@ class TestDifferenceTruncationError:
     def test_rejects_odd_mode_count(self):
         with pytest.raises(ValueError):
             difference_truncation_error(-10.0, 5.0, 1.0, 7)
+
+
+def interleave(same, opposite, block_next):
+    # dense matrix with block (r - p) mod 4 at rows p::4, columns r::4
+    j_modes = len(same)
+    blocks = (np.diag(same), block_next, np.diag(opposite), block_next.T)
+    out = np.empty((4 * j_modes, 4 * j_modes))
+    for p in range(4):
+        for r in range(4):
+            out[p::4, r::4] = blocks[(r - p) % 4]
+    return out
+
+
+class TestCirculantSpectrum:
+    @given(
+        a=st.floats(min_value=-50.0, max_value=150.0),
+        b=st.floats(min_value=-50.0, max_value=150.0),
+        k=st.floats(min_value=0.5, max_value=2.0),
+        j_modes=st.sampled_from([1, 2, 3, 11, 40]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_difference_matches_dense(self, a, b, k, j_modes):
+        assume(not is_resonant(a, k) and not is_resonant(b, k))
+        params_a = ProblemParams(a=a, k=k, modes_per_side=j_modes)
+        params_b = ProblemParams(a=b, k=k, modes_per_side=j_modes)
+        blocks = side_blocks(params_b)
+        for block, base_block in zip(blocks, side_blocks(params_a)):
+            block -= base_block
+        blocked = circulant_spectrum(*blocks)
+        dense = symmetric_eigenvalues(
+            assemble(params_b).entries - assemble(params_a).entries
+        )
+        assert blocked.shape == (4 * j_modes,)
+        assert np.all(np.diff(blocked) <= 0)
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        np.testing.assert_allclose(blocked, dense, rtol=0, atol=1e-12 * scale)
+        assert count_negative(blocked, 1e-5) == count_negative(dense, 1e-5)
+
+    @pytest.mark.parametrize(
+        "a, j_modes", [(-1.0, 1), (-10.0, 3), (3.0, 40), (3.0, 240)]
+    )
+    def test_side_blocks_interleave_to_assemble(self, a, j_modes):
+        # the scalar entry functions are the reference; J = 240 reaches
+        # the underflowed odd-i csch entries, whose -0.0 the dense
+        # matrix stores as 0.0
+        params = ProblemParams(a=a, modes_per_side=j_modes)
+        idx = range(j_modes)
+        reference = interleave(
+            np.array([same_side_entry(i, a) for i in idx]),
+            np.array([opposite_side_entry(i, a) + 0.0 for i in idx]),
+            np.array([[adjacent_next_entry(i, j, a) for j in idx] for i in idx]),
+        )
+        blocked = interleave(*side_blocks(params))
+        entries = assemble(params).entries
+        for dense in (blocked, reference):
+            assert np.array_equal(dense, entries)
+            assert np.array_equal(np.signbit(dense), np.signbit(entries))
+
+    def test_single_operator_matches_dense(self):
+        params = ProblemParams(a=-10.0, modes_per_side=40)
+        np.testing.assert_allclose(
+            circulant_spectrum(*side_blocks(params)),
+            symmetric_eigenvalues(assemble(params).entries),
+            rtol=0, atol=1e-13,
+        )
