@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -42,7 +43,20 @@ MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser using exit code 1 for usage errors."""
+    """argparse parser using exit code 1 for usage errors.
+
+    Any float literal with a leading minus, such as ``-1e5`` or
+    ``-inf``, is read as a flag value; plain argparse reads only
+    ``-10`` and ``-1.5`` that way and takes the rest for unknown flags.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[-+]?\d[\d_]*)?$"
+            r"|^-(inf|infinity|nan)$",
+            re.IGNORECASE,
+        )
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -100,7 +114,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.1)
     _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("bound", help="print the lattice bound for (a, b)")
     p.add_argument("--a", type=float, required=True)
@@ -127,6 +140,9 @@ def build_parser() -> _Parser:
     _add_common(p, tol=False)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
+    # handlers report usage errors under their own subcommand's usage
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(parser=command_parser)
     return parser
 
 
@@ -309,11 +325,10 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
-    except ValueError as exc:  # includes ResonanceError
+        return _COMMANDS[args.command](args.parser, args)
+    except (ValueError, OSError) as exc:  # ResonanceError is a ValueError
         sys.stderr.write(f"ndsquare {args.command}: {exc}\n")
         return 2
 

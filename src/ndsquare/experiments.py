@@ -12,9 +12,10 @@ difference of two truncated Neumann-to-Dirichlet matrices:
 * ``verify_crossing``: place the coefficient window symmetrically
   around a Neumann eigenvalue pi^2*n/k^2 of multiplicity N and check
   that the difference across the window has exactly N eigenvalues below
-  -delta.  Equality is only guaranteed for small enough windows, so a
-  disagreeing first attempt is retried once at half the width and both
-  attempts are reported.
+  -delta.  The window must hold no other level: its lattice count
+  (``negative_eigenvalue_bound``) must equal N.  Equality is only
+  guaranteed for small enough windows, so a disagreeing first attempt
+  is retried once at half the width and both attempts are reported.
 
 Every spectrum is :func:`~ndsquare.linalg.circulant_spectrum` of the
 differenced side blocks (:func:`~ndsquare.nd_matrix.side_blocks`); the
@@ -211,30 +212,10 @@ def trajectories(
     ]
 
 
-def _check_window_isolated(n: int, eps: float, k: float) -> None:
-    # no other Neumann eigenvalue may fall inside the closed window
-    # [c - eps, c + eps] around c = pi^2*n/k^2; only integer levels
-    # inside the window need checking
-    c = PI2 * n / (k * k)
-    lo, hi = c - eps, c + eps
-    first = max(0, math.ceil(lo * k * k / PI2) - 1)
-    last = math.floor(hi * k * k / PI2) + 1
-    for other in range(first, last + 1):
-        if other == n or multiplicity(other) == 0:
-            continue
-        level = PI2 * other / (k * k)
-        if lo <= level <= hi:
-            raise ValueError(
-                f"window around pi^2*{n}/k^2 with eps={eps} also contains "
-                f"the eigenvalue pi^2*{other}/k^2; shrink eps"
-            )
-
-
 def _measure_crossing(
-    n: int, eps: float, k: float, modes_per_side: int, delta: float,
+    c: float, eps: float, k: float, modes_per_side: int, delta: float,
     guard: float,
 ) -> int:
-    c = PI2 * n / (k * k)
     ((upper, eigs),) = _difference_spectra(
         c - eps, [c + eps], k, modes_per_side, guard
     )
@@ -260,9 +241,11 @@ def verify_crossing(
     report.
 
     The window (c - eps, c + eps) must contain no other Neumann
-    eigenvalue (checked by lattice enumeration) and eps must exceed the
-    resonance guard.  k*k must be a finite positive normal float, since
-    the level is placed at pi^2*n/k^2.
+    eigenvalue (checked by the lattice count of the window, which must
+    equal multiplicity(n)) and eps must exceed the resonance guard.
+    k*k must be a finite positive normal float, since the level is
+    placed at pi^2*n/k^2.  The window is counted first, so a level past
+    the resonance decidability limit fails before multiplicity(n) runs.
     """
     k2 = k * k
     if not (math.isfinite(k2) and k2 >= sys.float_info.min):
@@ -273,28 +256,45 @@ def verify_crossing(
         raise ValueError(f"eps must be positive, got {eps}")
     if eps <= guard:
         raise ValueError(f"eps={eps} must exceed the resonance guard {guard}")
+    try:
+        c = PI2 * n / k2
+    except OverflowError:
+        raise ValueError(
+            f"pi^2*n overflows a float: n has {n.bit_length()} bits"
+        ) from None
+    try:
+        inside = negative_eigenvalue_bound(c - eps, c + eps, k, guard)
+    except ResonanceError:
+        raise ResonanceError(
+            f"window around pi^2*{n}/k^2 with eps={eps} ends within the "
+            f"guard {guard} of a Neumann eigenvalue; change eps"
+        ) from None
     expected = multiplicity(n)
     if expected < 1:
         raise ValueError(
             f"n={n} is not a sum of two squares; pi^2*n is not a Neumann "
             f"eigenvalue"
         )
-    _check_window_isolated(n, eps, k)
+    if inside != expected:
+        raise ValueError(
+            f"window around pi^2*{n}/k^2 with eps={eps} holds {inside} "
+            f"Neumann eigenvalues, not the {expected} of level {n}; "
+            f"shrink eps"
+        )
 
     attempts = [
         CrossingAttempt(
             eps=eps,
-            measured=_measure_crossing(n, eps, k, modes_per_side, delta, guard),
+            measured=_measure_crossing(c, eps, k, modes_per_side, delta, guard),
         )
     ]
     if attempts[0].measured != expected:
         half = eps / 2.0
-        _check_window_isolated(n, half, k)
         attempts.append(
             CrossingAttempt(
                 eps=half,
                 measured=_measure_crossing(
-                    n, half, k, modes_per_side, delta, guard
+                    c, half, k, modes_per_side, delta, guard
                 ),
             )
         )

@@ -7,9 +7,10 @@ never mistaken for a genuine sign change.
 
 ``circulant_spectrum`` computes the spectrum of the block-circulant
 Neumann-to-Dirichlet matrix, or of a difference of two, from its side
-blocks by five small real symmetric eigensolves; the experiments and
-both estimators use it.  ``symmetric_eigenvalues`` of the dense matrix
-is its test oracle.
+blocks by five small real symmetric eigensolves, whose matrices are
+read off the even and odd parity blocks of the adjacent-side block;
+the experiments and both estimators use it.  ``symmetric_eigenvalues``
+of the dense matrix is its test oracle.
 
 Two truncation-error estimators are provided.  ``truncation_error``
 compares one assembled matrix at ``modes_per_side`` J against its
@@ -118,31 +119,35 @@ def circulant_spectrum(
     the 4J eigenvalues are those of the dense matrix that
     :func:`~ndsquare.nd_matrix.assemble` would interleave from them.
 
-    The 4-point DFT over the side index splits that matrix into
-    ``diag(same + opposite) ± (N + N^T)`` and, twice, the Hermitian
-    ``diag(same - opposite) + i(N - N^T)``.  Entry (i, j) of N carries
-    the sign (-1)^i, so N + N^T vanishes between modes of different
-    parity and N - N^T between modes of equal parity: the first two
-    split further into their even-i and odd-i halves, and conjugating
-    the third by diag(i^(j mod 2)) makes it real symmetric.  That is
-    four real symmetric eigensolves of order about J/2 and one of order
-    J, instead of one of order 4J (Davis, *Circulant Matrices*, 1979).
+    The 4-point DFT over the sides (Davis, *Circulant Matrices*, 1979)
+    leaves diag(same + opposite) ± (N + N^T) and, twice, the coupling of
+    x and y through N - N^T on side vectors (x, y, -x, -y).  Entry (i, j)
+    of N carries the sign (-1)^i of a symmetric kernel, so N + N^T is 2N
+    between modes of equal parity and 0 otherwise, and N - N^T the
+    reverse.  The problems are therefore diag(same + opposite)[h]
+    ± 2N[h, h] on the even and odd halves h, and R = diag(same -
+    opposite) with R[0::2, 1::2] = -2N[0::2, 1::2] and R[1::2, 0::2] =
+    2N[1::2, 0::2], counted twice: four eigensolves of order about J/2
+    and one of order J instead of one of order 4J.  R keeps the
+    interleaved mode order; a reordered R rounds differently in LAPACK.
 
     Every block is symmetric by construction, so no symmetry check is
     made.  The dense path, :func:`symmetric_eigenvalues` of the
     assembled matrix, is the test oracle for this one.
     """
-    sym = block_next + block_next.T
-    skew = block_next - block_next.T
-    parity = np.arange(len(same)) % 2
     plus = same + opposite
     parts = []
     for half in (slice(0, None, 2), slice(1, None, 2)):
         diag = np.diag(plus[half])
-        parts.append(np.linalg.eigvalsh(diag + sym[half, half]))
-        parts.append(np.linalg.eigvalsh(diag - sym[half, half]))
-    twist = parity[:, None] - parity[None, :]
-    rotation = np.linalg.eigvalsh(np.diag(same - opposite) + twist * skew)
+        coupling = 2 * block_next[half, half]
+        parts.append(np.linalg.eigvalsh(diag + coupling))
+        parts.append(np.linalg.eigvalsh(diag - coupling))
+    rotation = np.diag(same - opposite)
+    rotation[1::2, 0::2] = 2 * block_next[1::2, 0::2]
+    # -2N[0::2, 1::2] by the sign of N; the transpose keeps a zero
+    # entry of N (equal coefficients, zeroed border) at +0.0
+    rotation[0::2, 1::2] = rotation[1::2, 0::2].T
+    rotation = np.linalg.eigvalsh(rotation)
     parts += [rotation, rotation]
     return np.sort(np.concatenate(parts))[::-1]
 

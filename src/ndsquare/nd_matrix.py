@@ -26,8 +26,10 @@ dense symmetric matrix of size 4*modes_per_side.
 and offset-2 diagonals and the offset-1 block; offset 3 is its
 transpose).  The experiments and the truncation estimators never form
 the dense matrix: :func:`~ndsquare.linalg.circulant_spectrum` splits
-the block-circulant operator by the square's symmetry into four real
-symmetric eigenproblems of order about J/2 and one of order J.
+the block-circulant operator by the square's symmetry and the sign
+(-1)^i of the offset-1 block into four real symmetric eigenproblems of
+order about J/2 and one of order J, all read off that block's parity
+blocks.
 ``assemble`` interleaves the same blocks into the dense matrix, which
 remains the test oracle for that solver and the content of the dump.
 
@@ -48,7 +50,6 @@ pi^2*(l^2+m^2); inputs within the guard of such a point raise
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -64,8 +65,8 @@ from .spectrum import (
     ResonanceError,
 )
 
-#: Threshold above which exp-based forms replace coth/csch to avoid
-#: sinh overflow (sinh overflows near 710; entries decay like 1/x).
+#: Threshold above which csch(x)/x is evaluated as 2*exp(-x)/x, since
+#: sinh overflows near 710 (the entries decay like 1/x).
 LARGE_ARG = 30.0
 
 SIDE_RIGHT, SIDE_TOP, SIDE_LEFT, SIDE_BOTTOM = 0, 1, 2, 3
@@ -79,9 +80,8 @@ def normalizer(j: int) -> float:
 
 
 def _coth_over(x: float) -> float:
-    # coth(x)/x for x > 0; coth(x) - 1 < 1e-25 beyond LARGE_ARG
-    if x > LARGE_ARG:
-        return 1.0 / x
+    # coth(x)/x for x > 0; from about x = 19 on tanh(x) rounds to 1.0,
+    # so this is 1/x there bit for bit and needs no large-x form
     return 1.0 / (math.tanh(x) * x)
 
 
@@ -376,26 +376,17 @@ def assemble_series_oracle(
     )
 
 
-def dump_matrix(nd: NdMatrix, stream: TextIO) -> None:
-    """Write a matrix in the plain-text dump format.
+def dumps_matrix(nd: NdMatrix) -> str:
+    """A matrix in the plain-text dump format, as a string.
 
     First line: ``<size> <k> <a> <method>``; then ``size`` rows of
     space-separated entries.  Reals carry 17 significant digits, so the
-    dump round-trips exactly.
+    dump round-trips exactly (:func:`load_matrix` parses it back).
     """
     n = nd.entries.shape[0]
-    stream.write(
-        f"{n} {nd.params.k:.17g} {nd.params.a:.17g} {nd.method_label}\n"
-    )
-    for row in nd.entries:
-        stream.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def dumps_matrix(nd: NdMatrix) -> str:
-    """Dump format of :func:`dump_matrix` as a string."""
-    buf = io.StringIO()
-    dump_matrix(nd, buf)
-    return buf.getvalue()
+    lines = [f"{n} {nd.params.k:.17g} {nd.params.a:.17g} {nd.method_label}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in nd.entries]
+    return "\n".join(lines) + "\n"
 
 
 _METHOD_RE = re.compile(r"^(closed_form|series_oracle\((\d+)\))$")

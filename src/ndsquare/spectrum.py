@@ -92,9 +92,9 @@ class ProblemParams:
             raise ValueError(f"guard must be positive, got {self.guard}")
         if is_resonant(self.a, self.k, self.guard):
             raise ResonanceError(
-                f"a*k^2 = {self.a * self.k**2!r} is within {self.guard} of a "
-                f"Neumann eigenvalue pi^2*(l^2+m^2); the Neumann problem is "
-                f"ill-posed"
+                f"a*k^2 = {self.a * self.k * self.k!r} is within "
+                f"{self.guard} of a Neumann eigenvalue pi^2*(l^2+m^2); the "
+                f"Neumann problem is ill-posed"
             )
 
     @property
@@ -135,7 +135,11 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     the scan covers the few integers around a*k^2/pi^2.  Negative
     thresholds are never resonant unless a*k^2 is within the guard of
     zero (the l = m = 0 eigenvalue).  A non-finite a*k^2 raises
-    ``ValueError``: it lies on neither side of any eigenvalue.
+    ``ValueError``: it lies on neither side of any eigenvalue.  So does
+    a positive a*k^2 whose float spacing ``math.ulp`` is at least
+    ``guard`` (from 2^23, about 8.4e6, at the default guard): there the
+    rounding of a*k^2 and of pi^2*n alone reaches the guard, so
+    resonance cannot be decided.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
@@ -145,6 +149,12 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     if not math.isfinite(target):
         raise ValueError(
             f"a*k^2 = {target!r} (a={a!r}, k={k!r}) is not a finite number"
+        )
+    if target > 0 and math.ulp(target) >= guard:
+        raise ValueError(
+            f"a*k^2 = {target!r} is beyond the decidability limit: its float "
+            f"spacing {math.ulp(target):.3g} is not below the resonance "
+            f"guard {guard}"
         )
     center = round(target / PI2)
     reach = math.ceil(guard / PI2) + 1
@@ -216,10 +226,10 @@ def negative_eigenvalue_bound(
     ``guard`` of either end raises :class:`ResonanceError` rather than
     being silently included or excluded.
     """
-    if not a < b:
-        raise ValueError(f"window requires a < b, got a={a}, b={b}")
     lo = _checked_threshold(a, k, guard, "negative_eigenvalue_bound (a)")
     hi = _checked_threshold(b, k, guard, "negative_eigenvalue_bound (b)")
+    if not a < b:
+        raise ValueError(f"window requires a < b, got a={a}, b={b}")
     return _modes_below(hi) - _modes_below(lo)
 
 

@@ -1,13 +1,17 @@
 """Tests for the command-line interface: schemas, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import math
+import signal
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.nd_matrix import assemble, load_matrix
@@ -18,6 +22,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class _Hang(Exception):
+    """Raised by the alarm in :func:`_time_limit`; main does not catch it."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    # turns a hang into a test failure instead of a stuck suite
+    def hang(signum, frame):
+        raise _Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Hang as exc:
+        # a fresh traceback: the interrupted frame can lack a line
+        # number, which pytest's report cannot format
+        raise _Hang(str(exc)) from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBound:
@@ -38,6 +65,11 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--a", "15", "--b", "-10")
         assert code == 2
         assert "a < b" in err
+
+    def test_large_window_count(self, capsys):
+        code, out, _ = run(capsys, "bound", "--a", "-10", "--b", "1e6")
+        assert code == 0
+        assert out == "79906\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -335,3 +367,136 @@ class TestTruncationCheckCommand:
         with pytest.raises(SystemExit) as exc:
             main(["truncation-check", "--a", "-10", "--size", "20"])
         assert exc.value.code == 1
+
+
+_UNDECIDABLE = {
+    "bound-1e20": ["bound", "--a", "1e20", "--b", "2e20"],
+    "sweep-1e20": ["sweep", "--a", "1e20", "--b", "2e20", "--size", "8"],
+    "assemble-dump-1e308": ["assemble-dump", "--a", "1e308", "--size", "8"],
+    "crossing-1e20": ["crossing", "--n", str(10**20), "--size", "8"],
+    "crossing-1e400": ["crossing", "--n", str(10**400), "--size", "8"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", _UNDECIDABLE.values(), ids=_UNDECIDABLE.keys()
+)
+def test_undecidable_input_exits_2_within_2_s(capsys, argv):
+    # resonance cannot be told apart once the float spacing of a*k^2
+    # reaches the guard, and pi^2*10**400 does not fit in a float
+    with _time_limit(2.0):
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ndsquare {argv[0]}:")
+    assert err.count("\n") == 1
+
+
+class TestNegativeValues:
+    def test_exponent_literal_is_a_value(self, capsys):
+        code, out, err = run(capsys, "bound", "--a", "-1e5", "--b", "15")
+        assert code == 0
+        assert out == "3\n"
+        assert err == ""
+
+    def test_negative_infinity_is_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--a", "-10", "--b-min", "-inf", "--b-max", "0",
+                  "--b-step", "1"])
+        assert exc.value.code == 1
+        assert "--b-min must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--a", "-10", "--b-min", "0", "--b-max", "inf",
+         "--b-step", "1"],
+        ["sweep", "--a", "-10", "--b", "5", "--size", "17"],
+        ["truncation-check", "--a", "-10", "--size", "12"],
+    ],
+    ids=["sweep-grid", "sweep-size", "truncation-check-size"],
+)
+def test_usage_errors_name_the_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ndsquare {argv[0]}")
+    assert f"ndsquare {argv[0]}: error:" in err
+
+
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "missing" / "sweep.csv"
+    code, out, err = run(
+        capsys, "sweep", "--a", "-10", "--b", "5", "--size", "8",
+        "--out", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ndsquare sweep:")
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
+# Flag values for the contract fuzz test.  Sizes stay at 8 and 16 and
+# grids at three explicit b values, so no example allocates more than a
+# few kB; --guard keeps its default.
+_REAL = st.floats() | st.sampled_from([1e308, -1e308, 1e20, -1e5, 5e-324])
+_LEVEL = st.integers(-3, 30) | st.integers(0, 10**400)
+_SIZE = st.sampled_from([8, 16])
+_B_VALUES = st.lists(_REAL, min_size=1, max_size=3)
+_COMMAND_FLAGS = {
+    "sweep": {"--a": _REAL, "--b": _B_VALUES, "--k": _REAL, "--size": _SIZE},
+    "trajectories": {
+        "--a": _REAL, "--b": _B_VALUES, "--k": _REAL, "--size": _SIZE,
+    },
+    "crossing": {"--n": _LEVEL, "--eps": _REAL, "--k": _REAL, "--size": _SIZE},
+    "bound": {"--a": _REAL, "--b": _REAL, "--k": _REAL},
+    "assemble-dump": {"--a": _REAL, "--k": _REAL, "--size": _SIZE},
+    "truncation-check": {
+        "--a": _REAL, "--b": _REAL, "--k": _REAL, "--size": _SIZE,
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag, values in _COMMAND_FLAGS[command].items():
+        if flag not in ("--a", "--n") and not draw(st.booleans()):
+            continue
+        drawn = draw(values)
+        for value in drawn if isinstance(drawn, list) else [drawn]:
+            text = repr(value)
+            if draw(st.booleans()):
+                argv.append(f"{flag}={text}")
+            else:
+                argv += [flag, text]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+@example(argv=["bound", "--a", "1e20", "--b", "2e20"])
+@example(argv=["assemble-dump", "--a", "1e308", "--size", "8"])
+@example(argv=["crossing", "--n", str(10**400), "--size", "8"])
+@example(argv=["bound", "--a", "-1e+308", "--b", "-inf"])
+@example(argv=["assemble-dump", "--a", "0.0", "--k", "1e+308"])
+def test_cli_contract(argv):
+    # every input ends in 0, 1 (usage) or 2 (one diagnostic line),
+    # without a traceback and within 2 s
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with _time_limit(2.0):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1

@@ -111,6 +111,12 @@ class TestVerifyCrossing:
         with pytest.raises(ValueError):
             verify_crossing(1, eps=PI2 + 0.1, modes_per_side=10)
 
+    def test_window_ending_at_a_level_names_eps(self):
+        # c - eps = 0 is the l = m = 0 level: the window count is
+        # ill-posed, so the message points at eps
+        with pytest.raises(ResonanceError, match="eps=.*change eps"):
+            verify_crossing(1, eps=PI2, modes_per_side=10)
+
     def test_rejects_eps_at_or_below_guard(self):
         with pytest.raises(ValueError):
             verify_crossing(1, eps=1e-10, modes_per_side=10)

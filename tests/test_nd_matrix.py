@@ -180,6 +180,12 @@ class TestSumFormula:
         with pytest.raises(ValueError):
             sum_formula("weighted", 1.0)
 
+    @pytest.mark.parametrize("c", [400.0, 900.0, 1e4, 1e150, 1e300])
+    def test_plain_form_is_one_over_root_for_large_c(self, c):
+        # tanh rounds to 1.0 from about 19, so coth(x)/x needs no
+        # large-argument form: it is 1/x bit for bit
+        assert sum_formula("plain", c) == 1.0 / math.sqrt(c)
+
     @pytest.mark.parametrize("c", [1.0, 5.0, -1.0])
     @pytest.mark.parametrize("terms", [1_000, 10_000, 100_000])
     def test_partial_sums_converge_plain(self, c, terms):

@@ -88,6 +88,16 @@ class TestIsResonant:
         with pytest.raises(ValueError):
             is_resonant(1.0, 1.0, guard=0.0)
 
+    def test_decidability_limit(self):
+        # from 2^23 the float spacing of a*k^2 reaches the default guard
+        assert is_resonant(2.0**23 - 1.0, 1.0) is False
+        for a in (2.0**23, 1e20, 1e308):
+            with pytest.raises(ValueError, match="decidability limit"):
+                is_resonant(a, 1.0)
+        # a wider guard moves the limit; negative thresholds stay decidable
+        assert is_resonant(2.0**23, 1.0, guard=1e-8) is False
+        assert is_resonant(-1e308, 1.0) is False
+
 
 class TestPositiveEigenvalueCount:
     @pytest.mark.parametrize("a,expected", [(-10.0, 0), (5.0, 1), (25.0, 4)])
