@@ -229,8 +229,9 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
     for point in points:
         if point.skipped:
             continue
+        b = _fmt(point.b)
         for idx, eig in enumerate(point.eigenvalues):
-            lines.append(f"{_fmt(point.b)},{idx},{_fmt(eig)}")
+            lines.append(f"{b},{idx},{_fmt(eig)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

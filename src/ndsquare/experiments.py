@@ -204,7 +204,7 @@ def trajectories(
     return [
         TrajectoryPoint(
             b=b, skipped=eigs is None,
-            eigenvalues=None if eigs is None else tuple(float(v) for v in eigs),
+            eigenvalues=None if eigs is None else tuple(eigs.tolist()),
         )
         for b, eigs in _difference_spectra(
             a, b_values, k, modes_per_side, guard

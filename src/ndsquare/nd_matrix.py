@@ -24,12 +24,20 @@ dense symmetric matrix of size 4*modes_per_side.
 
 ``side_blocks`` evaluates the three distinct blocks once (the offset-0
 and offset-2 diagonals and the offset-1 block; offset 3 is its
-transpose).  The experiments and the truncation estimators never form
-the dense matrix: :func:`~ndsquare.linalg.circulant_spectrum` splits
-the block-circulant operator by the square's symmetry and the sign
-(-1)^i of the offset-1 block into four real symmetric eigenproblems of
-order about J/2 and one of order J, all read off that block's parity
-blocks.
+transpose), each as one array expression over the mode index: both
+diagonals come from :func:`sum_formula` on the array
+c = pi^2*i^2 - a*k^2.  The transcendental functions there are the
+``math`` ones mapped over the entries, and the rest is numpy's
+correctly rounded arithmetic in the scalar order, so every entry is
+bit for bit the scalar closed form; numpy's ``tanh``, ``sinh`` and
+``exp`` differ from ``math`` in the last bit on some inputs and would
+change the dumped bytes.  ``same_side_entry`` and
+``opposite_side_entry`` are :func:`sum_formula` at one mode.  The
+experiments and the truncation estimators never form the dense matrix:
+:func:`~ndsquare.linalg.circulant_spectrum` splits the block-circulant
+operator by the square's symmetry and the sign (-1)^i of the offset-1
+block into four real symmetric eigenproblems of order about J/2 and one
+of order J, all read off that block's parity blocks.
 ``assemble`` interleaves the same blocks into the dense matrix, which
 remains the test oracle for that solver and the content of the dump.
 
@@ -79,17 +87,9 @@ def normalizer(j: int) -> float:
     return 1.0 if j == 0 else math.sqrt(2.0)
 
 
-def _coth_over(x: float) -> float:
-    # coth(x)/x for x > 0; from about x = 19 on tanh(x) rounds to 1.0,
-    # so this is 1/x there bit for bit and needs no large-x form
-    return 1.0 / (math.tanh(x) * x)
-
-
-def _csch_over(x: float) -> float:
-    # csch(x)/x for x > 0; harmless underflow to 0 for very large x
-    if x > LARGE_ARG:
-        return 2.0 * math.exp(-x) / x
-    return 1.0 / (math.sinh(x) * x)
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    # a math function entry by entry, for bit-identity (see sum_formula)
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def _check_trig_pole(c_neg: float, guard: float) -> None:
@@ -115,7 +115,7 @@ def same_side_entry(
     Raises :class:`ResonanceError` within the guard of the branch point
     or of a cot pole (both are resonances).
     """
-    return sum_formula("plain", PI2 * i * i - a * k * k, guard)
+    return float(sum_formula("plain", PI2 * i * i - a * k * k, guard))
 
 
 def opposite_side_entry(
@@ -129,7 +129,9 @@ def opposite_side_entry(
     :func:`sum_formula`.
     """
     sign = -1.0 if i % 2 else 1.0
-    return sign * sum_formula("alternating", PI2 * i * i - a * k * k, guard)
+    return sign * float(
+        sum_formula("alternating", PI2 * i * i - a * k * k, guard)
+    )
 
 
 def adjacent_next_entry(
@@ -160,7 +162,9 @@ def adjacent_prev_entry(
     return adjacent_next_entry(j, i, a, k, guard)
 
 
-def sum_formula(kind: str, c: float, guard: float = DEFAULT_GUARD) -> float:
+def sum_formula(
+    kind: str, c: float | np.ndarray, guard: float = DEFAULT_GUARD
+) -> float | np.ndarray:
     """Closed form of the mode series sum_m d_m^2 / (pi^2*m^2 + c).
 
     ``kind="plain"`` sums the series as written: coth(sqrt(c))/sqrt(c)
@@ -168,21 +172,59 @@ def sum_formula(kind: str, c: float, guard: float = DEFAULT_GUARD) -> float:
     ``kind="alternating"`` inserts a factor (-1)^m: csch(sqrt(c))/sqrt(c)
     for c > 0 and -csc(sqrt(-c))/sqrt(-c) for c < 0.
 
+    ``c`` is a float or an array; the result has its shape (a float64
+    scalar for a float).  The transcendental functions are Python's
+    ``math`` functions mapped over the entries, and the square roots
+    and the remaining products and quotients are numpy's, taken in the
+    scalar order ``1/(tanh(x)*x)``, ``2*exp(-x)/x``, ``-cos(s)/(sin(s)*s)``.
+    IEEE arithmetic and ``sqrt`` are correctly rounded, so every entry
+    is bit for bit the scalar closed form; numpy's own ``tanh``,
+    ``sinh`` and ``exp`` are not used because they differ from
+    ``math`` in the last bit on some inputs.
+
     Raises :class:`ResonanceError` within the guard of c = 0 or of a
-    pole sqrt(-c) in pi*N.
+    pole sqrt(-c) in pi*N, for the first such entry in index order.
     """
     if kind not in ("plain", "alternating"):
         raise ValueError(f"kind must be 'plain' or 'alternating', got {kind!r}")
-    if abs(c) < guard:
-        raise ResonanceError(f"c = {c!r} is within {guard} of the pole at 0")
-    if c > 0:
-        x = math.sqrt(c)
-        return _coth_over(x) if kind == "plain" else _csch_over(x)
-    _check_trig_pole(-c, guard)
-    s = math.sqrt(-c)
+    c = np.asarray(c, dtype=float)
+    flat = c.ravel()
+    near = np.flatnonzero(np.abs(flat) < guard)
+    first = near[0] if near.size else flat.size
+    # entries are checked in index order: the few before the first one
+    # near 0 that take the trigonometric form get the scalar pole check
+    for i in np.flatnonzero(~(flat[:first] > 0)).tolist():
+        _check_trig_pole(-flat.item(i), guard)
+    if near.size:
+        raise ResonanceError(
+            f"c = {flat.item(first)!r} is within {guard} of the pole at 0"
+        )
+
+    out = np.empty_like(flat)
+    pos = flat > 0
+    x = np.sqrt(flat[pos])
     if kind == "plain":
-        return -math.cos(s) / (math.sin(s) * s)
-    return -1.0 / (math.sin(s) * s)
+        # tanh(x) rounds to 1.0 from about x = 19 on, so this is 1/x
+        # there bit for bit and needs no large-x form
+        out[pos] = 1.0 / (_map(math.tanh, x) * x)
+    else:
+        # csch(x)/x as 2*exp(-x)/x past LARGE_ARG, where sinh would
+        # overflow; it underflows harmlessly to 0 for very large x
+        large = x > LARGE_ARG
+        small = ~large
+        csch = np.empty_like(x)
+        csch[small] = 1.0 / (_map(math.sinh, x[small]) * x[small])
+        csch[large] = 2.0 * _map(math.exp, -x[large]) / x[large]
+        out[pos] = csch
+    neg = ~pos
+    s = np.sqrt(-flat[neg])
+    sin_s = _map(math.sin, s)
+    if kind == "plain":
+        out[neg] = -_map(math.cos, s) / (sin_s * s)
+    else:
+        out[neg] = -1.0 / (sin_s * s)
+    # [()] turns the 0-d result of a float argument into a scalar
+    return out.reshape(c.shape)[()]
 
 
 def overlap_integral(
@@ -268,15 +310,17 @@ def side_blocks(
     idx = np.arange(j_modes)
     d = np.where(idx == 0, 1.0, math.sqrt(2.0))
     sign = np.where(idx % 2 == 0, 1.0, -1.0)
+    sq = idx * idx
 
-    denom = PI2 * (idx[:, None] ** 2 + idx[None, :] ** 2) - ak2
-    block_next = sign[:, None] * d[:, None] * d[None, :] / denom
-    same = np.array([same_side_entry(i, a, k, guard) for i in idx])
+    denom = PI2 * np.add.outer(sq, sq)
+    denom -= ak2
+    block_next = np.multiply.outer(sign * d, d)
+    block_next /= denom
+    c = PI2 * idx * idx - ak2
+    same = sum_formula("plain", c, guard)
     # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
     # so a dump never prints "-0"
-    opposite = np.array(
-        [opposite_side_entry(i, a, k, guard) + 0.0 for i in idx]
-    )
+    opposite = sign * sum_formula("alternating", c, guard) + 0.0
     return same, opposite, block_next
 
 

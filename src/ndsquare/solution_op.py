@@ -15,9 +15,17 @@ negative coefficients reproduces the lattice bound of
 :func:`ndsquare.spectrum.negative_eigenvalue_bound` by an entirely
 independent route.  Only signs are consumed downstream, so the H^1
 normalization (which rescales magnitudes but not signs) is omitted.
+
+``exact_negative_count`` evaluates the coefficients as array
+expressions over blocks of lattice rows.  They are IEEE sums, products
+and quotients in the scalar order, so every sign is bit for bit the one
+``solution_diff_coefficient`` gives, and the blocks keep memory flat in
+the cutoff.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .spectrum import (
     DEFAULT_GUARD,
@@ -26,6 +34,10 @@ from .spectrum import (
     ResonanceError,
     is_resonant,
 )
+
+#: Largest number of lattice modes ``exact_negative_count`` evaluates
+#: at once (whole rows, at least one).
+BLOCK_MODES = 16384
 
 
 def embedding_eigenvalue(mode: ModeIndex | tuple[int, int]) -> float:
@@ -53,10 +65,18 @@ def solution_diff_coefficient(
     level = PI2 * (l * l + m * m)
     for label, coeff in (("a", a), ("b", b)):
         if abs(level - coeff * k * k) < guard:
-            raise ResonanceError(
-                f"mode ({l}, {m}) is resonant for coefficient {label}={coeff!r}"
-            )
-    lam = embedding_eigenvalue(mode)
+            raise _resonant_mode(l, m, label, coeff)
+    return _diff_coefficient(embedding_eigenvalue(mode), a, b, k)
+
+
+def _resonant_mode(l: int, m: int, label: str, coeff: float) -> ResonanceError:
+    return ResonanceError(
+        f"mode ({l}, {m}) is resonant for coefficient {label}={coeff!r}"
+    )
+
+
+def _diff_coefficient(lam, a: float, b: float, k: float):
+    # the coefficient at embedding eigenvalue lam, a float or an array
     return 1.0 / (1.0 - (1.0 + b * k * k) * lam) - 1.0 / (
         1.0 - (1.0 + a * k * k) * lam
     )
@@ -74,6 +94,9 @@ def exact_negative_count(
     Every sign change happens at a mode with pi^2*(l^2+m^2) < b*k^2, so
     the count is exact (and equals the lattice bound) once
     pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``.
+    A mode within the guard of a*k^2 or b*k^2 raises
+    :class:`ResonanceError`, for the first such (l, m) in row-major
+    order, as :func:`solution_diff_coefficient` would.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got a={a}, b={b}")
@@ -90,9 +113,21 @@ def exact_negative_count(
             raise ResonanceError(
                 f"coefficient {label}={coeff!r} is resonant for k={k!r}"
             )
+    side = mode_cutoff + 1
+    m_sq = np.arange(side) ** 2
+    rows = max(1, BLOCK_MODES // side)
+    ak2, bk2 = a * k * k, b * k * k
     count = 0
-    for l in range(mode_cutoff + 1):
-        for m in range(mode_cutoff + 1):
-            if solution_diff_coefficient((l, m), a, b, k, guard) < 0.0:
-                count += 1
+    for first_l in range(0, side, rows):
+        l = np.arange(first_l, min(first_l + rows, side))
+        level = PI2 * np.add.outer(l * l, m_sq)
+        near_a = np.abs(level - ak2) < guard
+        near = near_a | (np.abs(level - bk2) < guard)
+        if near.any():
+            first = int(np.flatnonzero(near)[0])
+            row, m = divmod(first, side)
+            label, coeff = ("a", a) if near_a.flat[first] else ("b", b)
+            raise _resonant_mode(first_l + row, m, label, coeff)
+        lam = 1.0 / (1.0 + level)
+        count += int(np.count_nonzero(_diff_coefficient(lam, a, b, k) < 0.0))
     return count

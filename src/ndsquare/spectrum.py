@@ -136,15 +136,18 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     thresholds are never resonant unless a*k^2 is within the guard of
     zero (the l = m = 0 eigenvalue).  A non-finite a*k^2 raises
     ``ValueError``: it lies on neither side of any eigenvalue.  So does
-    a positive a*k^2 whose float spacing ``math.ulp`` is at least
-    ``guard`` (from 2^23, about 8.4e6, at the default guard): there the
-    rounding of a*k^2 and of pi^2*n alone reaches the guard, so
-    resonance cannot be decided.
+    a guard that is not a positive finite number, and so does a positive
+    a*k^2 whose float spacing ``math.ulp`` is at least ``guard`` (from
+    2^23, about 8.4e6, at the default guard): there the rounding of
+    a*k^2 and of pi^2*n alone reaches the guard, so resonance cannot be
+    decided.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
     if not guard > 0:
         raise ValueError(f"guard must be positive, got {guard}")
+    if not math.isfinite(guard):
+        raise ValueError(f"guard must be finite, got {guard}")
     target = a * k * k
     if not math.isfinite(target):
         raise ValueError(

@@ -87,6 +87,27 @@ def test_non_finite_b_exits_2(capsys, argv, value):
     assert "Traceback" not in err
 
 
+_GUARDED = {
+    "sweep": ["sweep", "--a", "-10", "--b", "15", "--size", "8"],
+    "trajectories": ["trajectories", "--a", "-10", "--b", "15", "--size", "8"],
+    "crossing": ["crossing", "--n", "5", "--size", "8"],
+    "bound": ["bound", "--a", "-10", "--b", "15"],
+    "assemble-dump": ["assemble-dump", "--a", "-1", "--size", "8"],
+    "truncation-check": ["truncation-check", "--a", "-1", "--size", "8"],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv", _GUARDED.values(), ids=_GUARDED.keys())
+def test_non_finite_guard_exits_2(capsys, argv, value):
+    code, out, err = run(capsys, *argv, "--guard", value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ndsquare {argv[0]}:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -441,21 +462,34 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
 
 # Flag values for the contract fuzz test.  Sizes stay at 8 and 16 and
 # grids at three explicit b values, so no example allocates more than a
-# few kB; --guard keeps its default.
+# few kB.  --guard is the default or a value the program must refuse;
+# large finite guards are not drawn, because resonance is still decided
+# by a scan over about guard/pi^2 levels.
 _REAL = st.floats() | st.sampled_from([1e308, -1e308, 1e20, -1e5, 5e-324])
+_GUARD = st.sampled_from([math.inf, -math.inf, math.nan, 0.0])
 _LEVEL = st.integers(-3, 30) | st.integers(0, 10**400)
 _SIZE = st.sampled_from([8, 16])
 _B_VALUES = st.lists(_REAL, min_size=1, max_size=3)
 _COMMAND_FLAGS = {
-    "sweep": {"--a": _REAL, "--b": _B_VALUES, "--k": _REAL, "--size": _SIZE},
+    "sweep": {
+        "--a": _REAL, "--b": _B_VALUES, "--k": _REAL, "--size": _SIZE,
+        "--guard": _GUARD,
+    },
     "trajectories": {
         "--a": _REAL, "--b": _B_VALUES, "--k": _REAL, "--size": _SIZE,
+        "--guard": _GUARD,
     },
-    "crossing": {"--n": _LEVEL, "--eps": _REAL, "--k": _REAL, "--size": _SIZE},
-    "bound": {"--a": _REAL, "--b": _REAL, "--k": _REAL},
-    "assemble-dump": {"--a": _REAL, "--k": _REAL, "--size": _SIZE},
+    "crossing": {
+        "--n": _LEVEL, "--eps": _REAL, "--k": _REAL, "--size": _SIZE,
+        "--guard": _GUARD,
+    },
+    "bound": {"--a": _REAL, "--b": _REAL, "--k": _REAL, "--guard": _GUARD},
+    "assemble-dump": {
+        "--a": _REAL, "--k": _REAL, "--size": _SIZE, "--guard": _GUARD,
+    },
     "truncation-check": {
         "--a": _REAL, "--b": _REAL, "--k": _REAL, "--size": _SIZE,
+        "--guard": _GUARD,
     },
 }
 
@@ -484,6 +518,8 @@ def _argv(draw):
 @example(argv=["crossing", "--n", str(10**400), "--size", "8"])
 @example(argv=["bound", "--a", "-1e+308", "--b", "-inf"])
 @example(argv=["assemble-dump", "--a", "0.0", "--k", "1e+308"])
+@example(argv=["bound", "--a", "-10.0", "--b", "15.0", "--guard", "inf"])
+@example(argv=["sweep", "--a", "-10.0", "--b", "15.0", "--guard=inf"])
 def test_cli_contract(argv):
     # every input ends in 0, 1 (usage) or 2 (one diagnostic line),
     # without a traceback and within 2 s

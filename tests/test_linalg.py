@@ -14,14 +14,9 @@ from ndsquare.linalg import (
     symmetric_eigenvalues,
     truncation_error,
 )
-from ndsquare.nd_matrix import (
-    adjacent_next_entry,
-    assemble,
-    opposite_side_entry,
-    same_side_entry,
-    side_blocks,
-)
+from ndsquare.nd_matrix import adjacent_next_entry, assemble, side_blocks
 from ndsquare.spectrum import ProblemParams, is_resonant
+from scalar_reference import opposite_side_diagonal, same_side_diagonal
 
 
 def random_symmetric(n, seed):
@@ -215,17 +210,18 @@ class TestCirculantSpectrum:
         assert count_negative(blocked, 1e-5) == count_negative(dense, 1e-5)
 
     @pytest.mark.parametrize(
-        "a, j_modes", [(-1.0, 1), (-10.0, 3), (3.0, 40), (3.0, 240)]
+        "a, j_modes",
+        [(-1.0, 1), (-10.0, 3), (3.0, 40), (3.0, 240), (200.0, 300)],
     )
     def test_side_blocks_interleave_to_assemble(self, a, j_modes):
-        # the scalar entry functions are the reference; J = 240 reaches
-        # the underflowed odd-i csch entries, whose -0.0 the dense
-        # matrix stores as 0.0
+        # the scalar closed forms of tests/scalar_reference.py are the
+        # reference; J = 240 reaches the underflowed odd-i csch entries,
+        # whose -0.0 the dense matrix stores as 0.0
         params = ProblemParams(a=a, modes_per_side=j_modes)
         idx = range(j_modes)
         reference = interleave(
-            np.array([same_side_entry(i, a) for i in idx]),
-            np.array([opposite_side_entry(i, a) + 0.0 for i in idx]),
+            np.array(same_side_diagonal(a, 1.0, j_modes)),
+            np.array(opposite_side_diagonal(a, 1.0, j_modes)),
             np.array([[adjacent_next_entry(i, j, a) for j in idx] for i in idx]),
         )
         blocked = interleave(*side_blocks(params))

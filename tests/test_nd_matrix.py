@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ndsquare.nd_matrix import (
@@ -26,9 +26,17 @@ from ndsquare.nd_matrix import (
     opposite_side_entry,
     overlap_integral,
     same_side_entry,
+    side_blocks,
     sum_formula,
 )
-from ndsquare.spectrum import PI2, ProblemParams, ResonanceError
+from ndsquare.spectrum import (
+    DEFAULT_GUARD,
+    PI2,
+    ProblemParams,
+    ResonanceError,
+    is_resonant,
+)
+from scalar_reference import opposite_side_diagonal, same_side_diagonal
 
 COTH_1 = 1.3130352854993313
 CSCH_1 = 0.8509181282393215
@@ -204,6 +212,54 @@ class TestSumFormula:
         assert abs(partial - sum_formula("alternating", c)) <= 4.0 / (
             PI2 * terms
         )
+
+
+    def test_array_argument_keeps_shape_and_values(self):
+        c = np.array([[1.0, -1.0], [400.0, -0.5 * PI2]])
+        for kind in ("plain", "alternating"):
+            values = sum_formula(kind, c)
+            assert values.shape == (2, 2)
+            for index, entry in np.ndenumerate(c):
+                assert values[index] == sum_formula(kind, float(entry))
+
+    def test_array_raises_for_the_first_resonant_entry(self):
+        # index order decides between the trig-pole and the zero check
+        with pytest.raises(ResonanceError, match="trigonometric pole"):
+            sum_formula("plain", np.array([5.0, -PI2, 0.0]))
+        with pytest.raises(ResonanceError, match="pole at 0"):
+            sum_formula("plain", np.array([5.0, 0.0, -PI2]))
+
+
+# Coefficients just past the guard from a level pi^2*n, where a
+# same-side argument sits next to a cot/csc pole.
+_NEAR_LEVEL = st.builds(
+    lambda n, offset: PI2 * n + offset * DEFAULT_GUARD,
+    st.sampled_from([1, 2, 4, 5, 8, 13, 25, 40]),
+    st.sampled_from([-50.0, -2.0, 2.0, 50.0]),
+)
+
+
+class TestSideBlocks:
+    @given(
+        a=st.floats(min_value=-60.0, max_value=400.0) | _NEAR_LEVEL,
+        k=st.floats(min_value=0.5, max_value=2.0) | st.just(1.0),
+        j_modes=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_diagonals_equal_the_scalar_reference(self, a, k, j_modes):
+        # J past 236 reaches the underflowed csch entries, and every a
+        # here reaches x > LARGE_ARG; the comparison includes signbits
+        assume(not is_resonant(a, k))
+        same, opposite, _ = side_blocks(
+            ProblemParams(a=a, k=k, modes_per_side=j_modes)
+        )
+        for values, reference in (
+            (same, same_side_diagonal(a, k, j_modes)),
+            (opposite, opposite_side_diagonal(a, k, j_modes)),
+        ):
+            reference = np.array(reference)
+            assert np.array_equal(values, reference)
+            assert np.array_equal(np.signbit(values), np.signbit(reference))
 
 
 class TestOverlapIntegral:

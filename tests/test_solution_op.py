@@ -1,18 +1,21 @@
 """Tests for the diagonalized solution-operator difference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndsquare import solution_op
 from ndsquare.solution_op import (
     embedding_eigenvalue,
     exact_negative_count,
     solution_diff_coefficient,
 )
 from ndsquare.spectrum import (
+    DEFAULT_GUARD,
     PI2,
     ResonanceError,
     is_resonant,
@@ -112,3 +115,60 @@ class TestExactNegativeCount:
         # window (a*k^2, b*k^2) = (-40, 20) contains levels 0, 1 and 2
         assert exact_negative_count(-10.0, 5.0, 2.0, 10) == 4
         assert negative_eigenvalue_bound(-10.0, 5.0, 2.0) == 4
+
+
+def scalar_negative_count(a, b, k, mode_cutoff, guard=DEFAULT_GUARD):
+    """The per-mode loop ``exact_negative_count`` ran before it was blocked."""
+    count = 0
+    for l in range(mode_cutoff + 1):
+        for m in range(mode_cutoff + 1):
+            if solution_diff_coefficient((l, m), a, b, k, guard) < 0.0:
+                count += 1
+    return count
+
+
+class TestBlockedCount:
+    # side = cutoff + 1 modes per row: 128 rows fill one block of 16384
+    # exactly, 129 and 130 spill into a second, 319 takes seven
+    @pytest.mark.parametrize("mode_cutoff", [1, 2, 127, 128, 129, 318])
+    @pytest.mark.parametrize("k", [1.0, 0.7, 1.6])
+    def test_equals_the_scalar_loop(self, mode_cutoff, k):
+        rng = np.random.default_rng(mode_cutoff)
+        top = PI2 * mode_cutoff * mode_cutoff / (k * k)
+        for _ in range(3):
+            b = float(rng.uniform(0.2, 0.99)) * top
+            a = float(rng.uniform(-50.0, b))
+            if is_resonant(a, k) or is_resonant(b, k):
+                continue
+            assert exact_negative_count(
+                a, b, k, mode_cutoff
+            ) == scalar_negative_count(a, b, k, mode_cutoff), (a, b)
+
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_resonant_mode_message_matches_the_scalar_loop(
+        self, monkeypatch, label
+    ):
+        # the per-mode check backs up is_resonant; with that disabled, the
+        # first resonant (l, m) in row-major order is reported, as before
+        monkeypatch.setattr(solution_op, "is_resonant", lambda *args: False)
+        level = PI2 * 5  # modes (1, 2) and (2, 1)
+        a, b = (level, 200.0) if label == "a" else (-10.0, level)
+        with pytest.raises(ResonanceError) as blocked:
+            exact_negative_count(a, b, 1.0, 200)
+        with pytest.raises(ResonanceError) as scalar:
+            scalar_negative_count(a, b, 1.0, 200)
+        assert str(blocked.value) == str(scalar.value)
+        assert f"mode (1, 2) is resonant for coefficient {label}=" in str(
+            blocked.value
+        )
+
+    def test_memory_stays_flat_in_the_cutoff(self):
+        # a whole-lattice evaluation at cutoff 1000 would hold 8 MB per
+        # float array; the blocks keep the peak far below that
+        tracemalloc.start()
+        try:
+            exact_negative_count(-10.0, 2000.0, 1.0, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

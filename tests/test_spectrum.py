@@ -88,6 +88,12 @@ class TestIsResonant:
         with pytest.raises(ValueError):
             is_resonant(1.0, 1.0, guard=0.0)
 
+    @pytest.mark.parametrize("guard", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_guard(self, guard):
+        # an infinite guard once overflowed in the level scan
+        with pytest.raises(ValueError, match="guard"):
+            is_resonant(1.0, 1.0, guard=guard)
+
     def test_decidability_limit(self):
         # from 2^23 the float spacing of a*k^2 reaches the default guard
         assert is_resonant(2.0**23 - 1.0, 1.0) is False
