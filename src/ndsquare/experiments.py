@@ -143,12 +143,14 @@ def _difference_spectra(
         ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     )
     for b in b_values:
-        if is_resonant(b, k, guard):
+        try:
+            params = ProblemParams(
+                a=b, k=k, modes_per_side=modes_per_side, guard=guard
+            )
+        except ResonanceError:
             yield b, None
             continue
-        blocks = side_blocks(
-            ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard)
-        )
+        blocks = side_blocks(params)
         for block, base_block in zip(blocks, base):
             block -= base_block
         yield b, circulant_spectrum(*blocks)

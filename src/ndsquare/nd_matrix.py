@@ -16,11 +16,13 @@ the offset (r - p) mod 4,
     offset 2 -> opposite side   (diagonal in i, j; csch/csc kernel)
     offset 3 -> previous side   (full block, sign (-1)^j)
 
-with the closed forms implemented by ``same_side_entry``,
-``adjacent_next_entry``, ``opposite_side_entry`` and
-``adjacent_prev_entry``.  All entries are exact values of the infinite
-matrix; truncation keeps modes j < modes_per_side per side, giving a
-dense symmetric matrix of size 4*modes_per_side.
+The offset-0 and offset-2 kernels are ``same_side_entry`` and
+``opposite_side_entry``; the offset-1 entry is
+(-1)^i * d_i * d_j / (pi^2*(i^2+j^2) - a*k^2), with d the normalizers
+of ``normalizer``, and offset 3 is its transpose.  All entries are
+exact values of the infinite matrix; truncation keeps modes
+j < modes_per_side per side, giving a dense symmetric matrix of size
+4*modes_per_side.
 
 ``side_blocks`` evaluates the three distinct blocks once (the offset-0
 and offset-2 diagonals and the offset-1 block; offset 3 is its
@@ -52,8 +54,13 @@ validate the closed-form assembly.
 
 Poles of the closed forms (vanishing denominators, cot/csc poles and
 branch points) all correspond to a*k^2 hitting a Neumann eigenvalue
-pi^2*(l^2+m^2); inputs within the guard of such a point raise
-:class:`~ndsquare.spectrum.ResonanceError`.
+pi^2*(l^2+m^2).  Resonance is therefore decided once per coefficient,
+by :func:`~ndsquare.spectrum.is_resonant` when a
+:class:`~ndsquare.spectrum.ProblemParams` is built, and a coefficient
+within the guard of a level raises
+:class:`~ndsquare.spectrum.ResonanceError` there.  The closed forms
+trust a validated coefficient: none of its denominators is zero and
+every entry is finite.
 """
 
 from __future__ import annotations
@@ -70,7 +77,6 @@ from .spectrum import (
     PI2,
     ModeIndex,
     ProblemParams,
-    ResonanceError,
 )
 
 #: Threshold above which csch(x)/x is evaluated as 2*exp(-x)/x, since
@@ -92,18 +98,6 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _check_trig_pole(c_neg: float, guard: float) -> None:
-    # cot/csc pole at sqrt(c_neg) = pi*n, i.e. c_neg = pi^2*n^2; measured
-    # in the same absolute units of a*k^2 as the resonance guard
-    n = round(math.sqrt(c_neg) / math.pi)
-    for cand in (n - 1, n, n + 1):
-        if cand >= 1 and abs(c_neg - PI2 * cand * cand) < guard:
-            raise ResonanceError(
-                f"argument {c_neg!r} is within {guard} of the trigonometric "
-                f"pole at (pi*{cand})^2; the coefficient is resonant"
-            )
-
-
 def same_side_entry(
     i: int, a: float, k: float = 1.0, guard: float = DEFAULT_GUARD
 ) -> float:
@@ -112,10 +106,11 @@ def same_side_entry(
     Returns coth(s)/s with s = sqrt(pi^2*i^2 - a*k^2) when
     pi^2*i^2 > a*k^2, and -cot(s)/s with s = sqrt(a*k^2 - pi^2*i^2)
     otherwise: the plain :func:`sum_formula` at c = pi^2*i^2 - a*k^2.
-    Raises :class:`ResonanceError` within the guard of the branch point
-    or of a cot pole (both are resonances).
+    The branch point and the cot poles are resonances, so a resonant
+    (a, k) raises :class:`ResonanceError` from :class:`ProblemParams`.
     """
-    return float(sum_formula("plain", PI2 * i * i - a * k * k, guard))
+    ProblemParams(a=a, k=k, guard=guard)
+    return float(sum_formula("plain", PI2 * i * i - a * k * k))
 
 
 def opposite_side_entry(
@@ -126,45 +121,14 @@ def opposite_side_entry(
     Returns (-1)^i * csch(s)/s for pi^2*i^2 > a*k^2 and
     -(-1)^i * csc(s)/s for pi^2*i^2 < a*k^2, s as in
     :func:`same_side_entry`: (-1)^i times the alternating
-    :func:`sum_formula`.
+    :func:`sum_formula`.  A resonant (a, k) raises as there.
     """
+    ProblemParams(a=a, k=k, guard=guard)
     sign = -1.0 if i % 2 else 1.0
-    return sign * float(
-        sum_formula("alternating", PI2 * i * i - a * k * k, guard)
-    )
+    return sign * float(sum_formula("alternating", PI2 * i * i - a * k * k))
 
 
-def adjacent_next_entry(
-    i: int, j: int, a: float, k: float = 1.0, guard: float = DEFAULT_GUARD
-) -> float:
-    """Entry coupling mode i of a side to mode j of the next side (ccw).
-
-    Returns (-1)^i * d_i * d_j / (pi^2*(i^2+j^2) - a*k^2) with the
-    normalizers d of :func:`normalizer`.
-    """
-    den = PI2 * (i * i + j * j) - a * k * k
-    if abs(den) < guard:
-        raise ResonanceError(
-            f"pi^2*(i^2+j^2) - a*k^2 = {den!r} is within {guard} of zero; "
-            f"the coefficient is resonant"
-        )
-    sign = -1.0 if i % 2 else 1.0
-    return sign * normalizer(i) * normalizer(j) / den
-
-
-def adjacent_prev_entry(
-    i: int, j: int, a: float, k: float = 1.0, guard: float = DEFAULT_GUARD
-) -> float:
-    """Entry coupling mode i of a side to mode j of the previous side (cw).
-
-    Equals ``adjacent_next_entry(j, i, a, k)``: the sign is (-1)^j.
-    """
-    return adjacent_next_entry(j, i, a, k, guard)
-
-
-def sum_formula(
-    kind: str, c: float | np.ndarray, guard: float = DEFAULT_GUARD
-) -> float | np.ndarray:
+def sum_formula(kind: str, c: float | np.ndarray) -> float | np.ndarray:
     """Closed form of the mode series sum_m d_m^2 / (pi^2*m^2 + c).
 
     ``kind="plain"`` sums the series as written: coth(sqrt(c))/sqrt(c)
@@ -182,24 +146,14 @@ def sum_formula(
     ``sinh`` and ``exp`` are not used because they differ from
     ``math`` in the last bit on some inputs.
 
-    Raises :class:`ResonanceError` within the guard of c = 0 or of a
-    pole sqrt(-c) in pi*N, for the first such entry in index order.
+    This is pure evaluation.  The poles c = 0 and sqrt(-c) in pi*N are
+    resonances of the coefficient, which :class:`ProblemParams` has
+    already refused; a validated coefficient gives finite values.
     """
     if kind not in ("plain", "alternating"):
         raise ValueError(f"kind must be 'plain' or 'alternating', got {kind!r}")
     c = np.asarray(c, dtype=float)
     flat = c.ravel()
-    near = np.flatnonzero(np.abs(flat) < guard)
-    first = near[0] if near.size else flat.size
-    # entries are checked in index order: the few before the first one
-    # near 0 that take the trigonometric form get the scalar pole check
-    for i in np.flatnonzero(~(flat[:first] > 0)).tolist():
-        _check_trig_pole(-flat.item(i), guard)
-    if near.size:
-        raise ResonanceError(
-            f"c = {flat.item(first)!r} is within {guard} of the pole at 0"
-        )
-
     out = np.empty_like(flat)
     pos = flat > 0
     x = np.sqrt(flat[pos])
@@ -304,8 +258,7 @@ def side_blocks(
     forming the dense matrix.
     """
     j_modes = params.modes_per_side
-    a, k, guard = params.a, params.k, params.guard
-    ak2 = a * k * k
+    ak2 = params.a * params.k * params.k
 
     idx = np.arange(j_modes)
     d = np.where(idx == 0, 1.0, math.sqrt(2.0))
@@ -317,10 +270,10 @@ def side_blocks(
     block_next = np.multiply.outer(sign * d, d)
     block_next /= denom
     c = PI2 * idx * idx - ak2
-    same = sum_formula("plain", c, guard)
+    same = sum_formula("plain", c)
     # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
     # so a dump never prints "-0"
-    opposite = sign * sum_formula("alternating", c, guard) + 0.0
+    opposite = sign * sum_formula("alternating", c) + 0.0
     return same, opposite, block_next
 
 

@@ -20,7 +20,11 @@ normalization (which rescales magnitudes but not signs) is omitted.
 expressions over blocks of lattice rows.  They are IEEE sums, products
 and quotients in the scalar order, so every sign is bit for bit the one
 ``solution_diff_coefficient`` gives, and the blocks keep memory flat in
-the cutoff.
+the cutoff.  Resonance is decided once per coefficient, by
+:func:`~ndsquare.spectrum.is_resonant`: each block's levels are
+``PI2 * (l*l + m*m)``, the very expression that function scans, so a
+window with accepted ends holds no mode within the guard of either end
+and the blocks need no check of their own.
 """
 
 from __future__ import annotations
@@ -65,14 +69,11 @@ def solution_diff_coefficient(
     level = PI2 * (l * l + m * m)
     for label, coeff in (("a", a), ("b", b)):
         if abs(level - coeff * k * k) < guard:
-            raise _resonant_mode(l, m, label, coeff)
+            raise ResonanceError(
+                f"mode ({l}, {m}) is resonant for coefficient "
+                f"{label}={coeff!r}"
+            )
     return _diff_coefficient(embedding_eigenvalue(mode), a, b, k)
-
-
-def _resonant_mode(l: int, m: int, label: str, coeff: float) -> ResonanceError:
-    return ResonanceError(
-        f"mode ({l}, {m}) is resonant for coefficient {label}={coeff!r}"
-    )
 
 
 def _diff_coefficient(lam, a: float, b: float, k: float):
@@ -94,9 +95,9 @@ def exact_negative_count(
     Every sign change happens at a mode with pi^2*(l^2+m^2) < b*k^2, so
     the count is exact (and equals the lattice bound) once
     pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``.
-    A mode within the guard of a*k^2 or b*k^2 raises
-    :class:`ResonanceError`, for the first such (l, m) in row-major
-    order, as :func:`solution_diff_coefficient` would.
+    A resonant a or b (see :func:`~ndsquare.spectrum.is_resonant`)
+    raises :class:`ResonanceError`; once both are accepted, no mode lies
+    within the guard of a*k^2 or b*k^2.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got a={a}, b={b}")
@@ -116,18 +117,10 @@ def exact_negative_count(
     side = mode_cutoff + 1
     m_sq = np.arange(side) ** 2
     rows = max(1, BLOCK_MODES // side)
-    ak2, bk2 = a * k * k, b * k * k
     count = 0
     for first_l in range(0, side, rows):
         l = np.arange(first_l, min(first_l + rows, side))
         level = PI2 * np.add.outer(l * l, m_sq)
-        near_a = np.abs(level - ak2) < guard
-        near = near_a | (np.abs(level - bk2) < guard)
-        if near.any():
-            first = int(np.flatnonzero(near)[0])
-            row, m = divmod(first, side)
-            label, coeff = ("a", a) if near_a.flat[first] else ("b", b)
-            raise _resonant_mode(first_l + row, m, label, coeff)
         lam = 1.0 / (1.0 + level)
         count += int(np.count_nonzero(_diff_coefficient(lam, a, b, k) < 0.0))
     return count

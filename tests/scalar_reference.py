@@ -1,19 +1,40 @@
-"""Scalar closed forms of the side-block diagonals, as a test reference.
+"""Scalar closed forms of the side blocks, as a test reference.
 
 These are the per-entry functions the package evaluated before
-:func:`ndsquare.nd_matrix.sum_formula` took arrays, kept verbatim so
-the array evaluation is checked bit for bit against an independent
-scalar path rather than against itself.
+:func:`ndsquare.nd_matrix.sum_formula` took arrays and before
+``side_blocks`` became the only evaluation of the next-side block, kept
+verbatim so the array evaluation is checked bit for bit against an
+independent scalar path rather than against itself.
+
+``sum_formula`` here keeps the per-entry resonance check the package
+ran before resonance was decided once per coefficient by
+:func:`ndsquare.spectrum.is_resonant`.  It computes the level as
+``(pi^2*n)*n`` where ``is_resonant`` computes ``pi^2*(n*n)``, so at the
+guard edge it refuses coefficients that ``is_resonant`` accepts.  The
+diagonal builders therefore evaluate ``closed_form``, the same value
+code without the check.
 """
 
 import math
 
-from ndsquare.nd_matrix import _check_trig_pole
+from ndsquare.nd_matrix import normalizer
 from ndsquare.spectrum import DEFAULT_GUARD, PI2, ResonanceError
 
 #: Threshold above which csch(x)/x is evaluated as 2*exp(-x)/x, since
 #: sinh overflows near 710 (the entries decay like 1/x).
 LARGE_ARG = 30.0
+
+
+def _check_trig_pole(c_neg: float, guard: float) -> None:
+    # cot/csc pole at sqrt(c_neg) = pi*n, i.e. c_neg = pi^2*n^2; measured
+    # in the same absolute units of a*k^2 as the resonance guard
+    n = round(math.sqrt(c_neg) / math.pi)
+    for cand in (n - 1, n, n + 1):
+        if cand >= 1 and abs(c_neg - PI2 * cand * cand) < guard:
+            raise ResonanceError(
+                f"argument {c_neg!r} is within {guard} of the trigonometric "
+                f"pole at (pi*{cand})^2; the coefficient is resonant"
+            )
 
 
 def _coth_over(x: float) -> float:
@@ -27,6 +48,17 @@ def _csch_over(x: float) -> float:
     if x > LARGE_ARG:
         return 2.0 * math.exp(-x) / x
     return 1.0 / (math.sinh(x) * x)
+
+
+def closed_form(kind: str, c: float) -> float:
+    """The value of :func:`sum_formula` at a nonzero c, unchecked."""
+    if c > 0:
+        x = math.sqrt(c)
+        return _coth_over(x) if kind == "plain" else _csch_over(x)
+    s = math.sqrt(-c)
+    if kind == "plain":
+        return -math.cos(s) / (math.sin(s) * s)
+    return -1.0 / (math.sin(s) * s)
 
 
 def sum_formula(kind: str, c: float, guard: float = DEFAULT_GUARD) -> float:
@@ -44,26 +76,49 @@ def sum_formula(kind: str, c: float, guard: float = DEFAULT_GUARD) -> float:
         raise ValueError(f"kind must be 'plain' or 'alternating', got {kind!r}")
     if abs(c) < guard:
         raise ResonanceError(f"c = {c!r} is within {guard} of the pole at 0")
-    if c > 0:
-        x = math.sqrt(c)
-        return _coth_over(x) if kind == "plain" else _csch_over(x)
-    _check_trig_pole(-c, guard)
-    s = math.sqrt(-c)
-    if kind == "plain":
-        return -math.cos(s) / (math.sin(s) * s)
-    return -1.0 / (math.sin(s) * s)
+    if not c > 0:
+        _check_trig_pole(-c, guard)
+    return closed_form(kind, c)
 
 
 def same_side_diagonal(a: float, k: float, j_modes: int) -> list[float]:
     """Same-side diagonal entries i < j_modes, one scalar call each."""
-    return [sum_formula("plain", PI2 * i * i - a * k * k) for i in range(j_modes)]
+    return [closed_form("plain", PI2 * i * i - a * k * k) for i in range(j_modes)]
 
 
 def opposite_side_diagonal(a: float, k: float, j_modes: int) -> list[float]:
     """Opposite-side diagonal entries i < j_modes, ``+ 0.0`` included."""
     return [
         (-1.0 if i % 2 else 1.0)
-        * sum_formula("alternating", PI2 * i * i - a * k * k)
+        * closed_form("alternating", PI2 * i * i - a * k * k)
         + 0.0
         for i in range(j_modes)
     ]
+
+
+def adjacent_next_entry(
+    i: int, j: int, a: float, k: float = 1.0, guard: float = DEFAULT_GUARD
+) -> float:
+    """Entry coupling mode i of a side to mode j of the next side (ccw).
+
+    Returns (-1)^i * d_i * d_j / (pi^2*(i^2+j^2) - a*k^2) with the
+    normalizers d of :func:`normalizer`.
+    """
+    den = PI2 * (i * i + j * j) - a * k * k
+    if abs(den) < guard:
+        raise ResonanceError(
+            f"pi^2*(i^2+j^2) - a*k^2 = {den!r} is within {guard} of zero; "
+            f"the coefficient is resonant"
+        )
+    sign = -1.0 if i % 2 else 1.0
+    return sign * normalizer(i) * normalizer(j) / den
+
+
+def adjacent_prev_entry(
+    i: int, j: int, a: float, k: float = 1.0, guard: float = DEFAULT_GUARD
+) -> float:
+    """Entry coupling mode i of a side to mode j of the previous side (cw).
+
+    Equals ``adjacent_next_entry(j, i, a, k)``: the sign is (-1)^j.
+    """
+    return adjacent_next_entry(j, i, a, k, guard)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import signal
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.nd_matrix import assemble, load_matrix
 from ndsquare.spectrum import ProblemParams
+from coefficients import GUARD_EDGE_EXAMPLE
 
 
 def run(capsys, *argv):
@@ -411,6 +413,47 @@ def test_undecidable_input_exits_2_within_2_s(capsys, argv):
     assert out == ""
     assert err.startswith(f"ndsquare {argv[0]}:")
     assert err.count("\n") == 1
+
+
+_EDGE = repr(GUARD_EDGE_EXAMPLE)
+_NUMBER = re.compile(r"[-+]?(?:nan|inf|\d[\d.]*(?:e[-+]?\d+)?)")
+
+
+class TestGuardEdge:
+    # a*k^2 = 246.74011002823397 is accepted by is_resonant but lies
+    # within the guard of (pi*5)^2 when that level is rounded as
+    # (pi^2*5)*5; a point the bound accepts must not abort a command
+    def test_sweep_keeps_every_row(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--a", "-10", "--b", "5", "--b", _EDGE,
+            "--b", "7", "--size", "40",
+        )
+        assert (code, err) == (0, "")
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["5", _EDGE, "7"]
+        for _, measured, bound, low, high, skipped in rows:
+            assert skipped == "0"
+            assert int(measured) <= int(bound)
+            assert math.isfinite(float(low)) and math.isfinite(float(high))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assemble-dump", "--a", _EDGE, "--size", "40"],
+            ["truncation-check", "--a", _EDGE, "--size", "40"],
+            ["truncation-check", "--a", "-10", "--b", _EDGE, "--size", "40"],
+            ["trajectories", "--a", "-10", "--b", _EDGE, "--size", "40"],
+            ["trajectories", "--a", _EDGE, "--b", "300", "--size", "40"],
+        ],
+        ids=["dump", "truncation-a", "truncation-b", "trajectories-b",
+             "trajectories-a"],
+    )
+    def test_commands_print_finite_numbers(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        numbers = [float(t) for t in _NUMBER.findall(out)]
+        assert numbers
+        assert all(math.isfinite(x) for x in numbers)
 
 
 class TestNegativeValues:

@@ -14,9 +14,13 @@ from ndsquare.linalg import (
     symmetric_eigenvalues,
     truncation_error,
 )
-from ndsquare.nd_matrix import adjacent_next_entry, assemble, side_blocks
+from ndsquare.nd_matrix import assemble, side_blocks
 from ndsquare.spectrum import ProblemParams, is_resonant
-from scalar_reference import opposite_side_diagonal, same_side_diagonal
+from scalar_reference import (
+    adjacent_next_entry,
+    opposite_side_diagonal,
+    same_side_diagonal,
+)
 
 
 def random_symmetric(n, seed):

@@ -11,13 +11,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ndsquare.experiments import sweep
 from ndsquare.nd_matrix import (
     NdMatrix,
-    adjacent_next_entry,
-    adjacent_prev_entry,
     assemble,
     assemble_series_oracle,
     dumps_matrix,
@@ -30,13 +29,20 @@ from ndsquare.nd_matrix import (
     sum_formula,
 )
 from ndsquare.spectrum import (
-    DEFAULT_GUARD,
     PI2,
     ProblemParams,
     ResonanceError,
     is_resonant,
+    negative_eigenvalue_bound,
 )
-from scalar_reference import opposite_side_diagonal, same_side_diagonal
+from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE, NEAR_LEVEL
+from scalar_reference import (
+    adjacent_next_entry,
+    adjacent_prev_entry,
+    opposite_side_diagonal,
+    same_side_diagonal,
+)
+from scalar_reference import sum_formula as per_entry_sum_formula
 
 COTH_1 = 1.3130352854993313
 CSCH_1 = 0.8509181282393215
@@ -177,12 +183,17 @@ class TestSumFormula:
         )
 
     def test_pole_errors(self):
+        # the poles c = 0, -pi^2 and -4*pi^2 at mode 0 are the resonant
+        # coefficients a = 0, pi^2 and 4*pi^2, refused by the one decider
         with pytest.raises(ResonanceError):
-            sum_formula("plain", 0.0)
+            same_side_entry(0, 0.0)
         with pytest.raises(ResonanceError):
-            sum_formula("plain", -PI2)
+            same_side_entry(0, PI2)
         with pytest.raises(ResonanceError):
-            sum_formula("alternating", -4.0 * PI2)
+            opposite_side_entry(0, 4.0 * PI2)
+        for a in (0.0, PI2, 4.0 * PI2):
+            with pytest.raises(ResonanceError):
+                ProblemParams(a=a)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -222,29 +233,17 @@ class TestSumFormula:
             for index, entry in np.ndenumerate(c):
                 assert values[index] == sum_formula(kind, float(entry))
 
-    def test_array_raises_for_the_first_resonant_entry(self):
-        # index order decides between the trig-pole and the zero check
-        with pytest.raises(ResonanceError, match="trigonometric pole"):
-            sum_formula("plain", np.array([5.0, -PI2, 0.0]))
-        with pytest.raises(ResonanceError, match="pole at 0"):
-            sum_formula("plain", np.array([5.0, 0.0, -PI2]))
 
-
-# Coefficients just past the guard from a level pi^2*n, where a
-# same-side argument sits next to a cot/csc pole.
-_NEAR_LEVEL = st.builds(
-    lambda n, offset: PI2 * n + offset * DEFAULT_GUARD,
-    st.sampled_from([1, 2, 4, 5, 8, 13, 25, 40]),
-    st.sampled_from([-50.0, -2.0, 2.0, 50.0]),
-)
+_WAVENUMBER = st.floats(min_value=0.5, max_value=2.0) | st.just(1.0)
 
 
 class TestSideBlocks:
     @given(
-        a=st.floats(min_value=-60.0, max_value=400.0) | _NEAR_LEVEL,
-        k=st.floats(min_value=0.5, max_value=2.0) | st.just(1.0),
+        a=st.floats(min_value=-60.0, max_value=400.0) | NEAR_LEVEL,
+        k=_WAVENUMBER,
         j_modes=st.integers(min_value=1, max_value=300),
     )
+    @example(a=GUARD_EDGE_EXAMPLE, k=1.0, j_modes=40)
     @settings(max_examples=120, deadline=None)
     def test_diagonals_equal_the_scalar_reference(self, a, k, j_modes):
         # J past 236 reaches the underflowed csch entries, and every a
@@ -260,6 +259,45 @@ class TestSideBlocks:
             reference = np.array(reference)
             assert np.array_equal(values, reference)
             assert np.array_equal(np.signbit(values), np.signbit(reference))
+
+    @given(
+        a=COEFFICIENT,
+        b=COEFFICIENT,
+        k=_WAVENUMBER,
+        j_modes=st.integers(min_value=1, max_value=120),
+    )
+    @example(a=-10.0, b=GUARD_EDGE_EXAMPLE, k=1.0, j_modes=10)
+    @settings(max_examples=120, deadline=None)
+    def test_accepted_coefficients_give_finite_blocks_and_a_sweep_row(
+        self, a, b, k, j_modes
+    ):
+        # resonance is decided once, by is_resonant: past it no entry
+        # may blow up and no sweep point may be refused again
+        assume(not is_resonant(a, k) and not is_resonant(b, k))
+        for coeff in (a, b):
+            params = ProblemParams(a=coeff, k=k, modes_per_side=j_modes)
+            for block in side_blocks(params):
+                assert np.isfinite(block).all()
+        lo, hi = sorted((a, b))
+        assume(lo < hi)
+        negative_eigenvalue_bound(lo, hi, k)  # raises unless it accepts
+        (report,) = sweep(lo, [hi], k, modes_per_side=j_modes)
+        assert not report.skipped
+        assert math.isfinite(report.min_eigenvalue)
+        assert math.isfinite(report.max_eigenvalue)
+
+    def test_the_per_entry_decider_refused_an_accepted_coefficient(self):
+        # the per-entry check rounds the level as (pi^2*5)*5, which puts
+        # this coefficient inside the guard; is_resonant rounds it as
+        # pi^2*(5*5), which puts it outside, and every entry is finite
+        assert not is_resonant(GUARD_EDGE_EXAMPLE, 1.0)
+        with pytest.raises(ResonanceError, match="trigonometric pole"):
+            per_entry_sum_formula("plain", -GUARD_EDGE_EXAMPLE)
+        same, opposite, block_next = side_blocks(
+            ProblemParams(a=GUARD_EDGE_EXAMPLE, modes_per_side=8)
+        )
+        assert np.isfinite(same[0]) and abs(same[0]) > 1e9
+        assert np.isfinite(opposite[0]) and np.isfinite(block_next).all()
 
 
 class TestOverlapIntegral:

@@ -5,10 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ndsquare import solution_op
 from ndsquare.solution_op import (
     embedding_eigenvalue,
     exact_negative_count,
@@ -21,6 +20,7 @@ from ndsquare.spectrum import (
     is_resonant,
     negative_eigenvalue_bound,
 )
+from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE
 
 
 class TestEmbeddingEigenvalue:
@@ -144,23 +144,27 @@ class TestBlockedCount:
                 a, b, k, mode_cutoff
             ) == scalar_negative_count(a, b, k, mode_cutoff), (a, b)
 
-    @pytest.mark.parametrize("label", ["a", "b"])
-    def test_resonant_mode_message_matches_the_scalar_loop(
-        self, monkeypatch, label
-    ):
-        # the per-mode check backs up is_resonant; with that disabled, the
-        # first resonant (l, m) in row-major order is reported, as before
-        monkeypatch.setattr(solution_op, "is_resonant", lambda *args: False)
-        level = PI2 * 5  # modes (1, 2) and (2, 1)
-        a, b = (level, 200.0) if label == "a" else (-10.0, level)
-        with pytest.raises(ResonanceError) as blocked:
-            exact_negative_count(a, b, 1.0, 200)
-        with pytest.raises(ResonanceError) as scalar:
-            scalar_negative_count(a, b, 1.0, 200)
-        assert str(blocked.value) == str(scalar.value)
-        assert f"mode (1, 2) is resonant for coefficient {label}=" in str(
-            blocked.value
-        )
+    @given(
+        a=COEFFICIENT,
+        b=COEFFICIENT,
+        k=st.floats(min_value=0.5, max_value=2.0) | st.just(1.0),
+    )
+    @example(a=-10.0, b=GUARD_EDGE_EXAMPLE, k=1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_ends_leave_no_mode_within_the_guard(self, a, b, k):
+        # why the blocks need no per-mode check: their levels are the
+        # expression is_resonant scans, so past it none is near an end
+        assume(not is_resonant(a, k) and not is_resonant(b, k))
+        a, b = sorted((a, b))
+        assume(a < b)
+        mode_cutoff = math.isqrt(max(0, int(b * k * k / PI2))) + 1
+        l = np.arange(mode_cutoff + 1)
+        level = PI2 * np.add.outer(l * l, l * l)
+        for coeff in (a, b):
+            assert np.abs(level - coeff * k * k).min() >= DEFAULT_GUARD
+        assert exact_negative_count(
+            a, b, k, mode_cutoff
+        ) == scalar_negative_count(a, b, k, mode_cutoff)
 
     def test_memory_stays_flat_in_the_cutoff(self):
         # a whole-lattice evaluation at cutoff 1000 would hold 8 MB per
