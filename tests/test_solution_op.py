@@ -144,6 +144,20 @@ class TestBlockedCount:
                 a, b, k, mode_cutoff
             ) == scalar_negative_count(a, b, k, mode_cutoff), (a, b)
 
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_resonant_mode_message_matches_the_scalar_loop(self, label):
+        # is_resonant refuses the coefficient before any block is built;
+        # the message names the same coefficient as the scalar loop's
+        level = PI2 * 5  # modes (1, 2) and (2, 1)
+        a, b = (level, 200.0) if label == "a" else (-10.0, level)
+        with pytest.raises(ResonanceError) as blocked:
+            exact_negative_count(a, b, 1.0, 200)
+        with pytest.raises(ResonanceError) as scalar:
+            scalar_negative_count(a, b, 1.0, 200)
+        named = f"coefficient {label}={level!r}"
+        assert str(blocked.value) == f"{named} is resonant for k=1.0"
+        assert str(scalar.value) == f"mode (1, 2) is resonant for {named}"
+
     @given(
         a=COEFFICIENT,
         b=COEFFICIENT,
