@@ -43,6 +43,7 @@ from .spectrum import (
     PI2,
     ProblemParams,
     ResonanceError,
+    _modes_below,
     is_resonant,
     multiplicity,
     negative_eigenvalue_bound,
@@ -115,13 +116,6 @@ class CrossingReport:
         return self.measured == self.expected
 
 
-def _theoretical_bound(a: float, b: float, k: float, guard: float) -> int:
-    # b == a gives the empty window without tripping the a < b precondition
-    if b == a:
-        return 0
-    return negative_eigenvalue_bound(a, b, k, guard)
-
-
 def _difference_spectra(
     a: float,
     b_values: Sequence[float],
@@ -129,11 +123,11 @@ def _difference_spectra(
     modes_per_side: int,
     guard: float,
 ) -> Iterator[tuple[float, np.ndarray | None]]:
-    """Yield (b, descending spectrum of Λ(b) − Λ(a)) in grid order.
+    """Iterate (b, descending spectrum of Λ(b) − Λ(a)) in grid order.
 
     The spectrum is None for a resonant b.  The base coefficient a is
-    validated and its side blocks assembled once, on the first
-    ``next``; no 4J×4J matrix is formed.
+    validated and its side blocks assembled once, before this returns;
+    no 4J×4J matrix is formed.
     """
     if is_resonant(a, k, guard):
         raise ResonanceError(f"base coefficient a={a!r} is resonant")
@@ -142,18 +136,22 @@ def _difference_spectra(
     base = side_blocks(
         ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     )
-    for b in b_values:
-        try:
-            params = ProblemParams(
-                a=b, k=k, modes_per_side=modes_per_side, guard=guard
-            )
-        except ResonanceError:
-            yield b, None
-            continue
-        blocks = side_blocks(params)
-        for block, base_block in zip(blocks, base):
-            block -= base_block
-        yield b, circulant_spectrum(*blocks)
+
+    def spectra() -> Iterator[tuple[float, np.ndarray | None]]:
+        for b in b_values:
+            try:
+                params = ProblemParams(
+                    a=b, k=k, modes_per_side=modes_per_side, guard=guard
+                )
+            except ResonanceError:
+                yield b, None
+                continue
+            blocks = side_blocks(params)
+            for block, base_block in zip(blocks, base):
+                block -= base_block
+            yield b, circulant_spectrum(*blocks)
+
+    return spectra()
 
 
 def sweep(
@@ -169,9 +167,16 @@ def sweep(
     The matrix at coefficient a is assembled once and reused.  Each
     b must satisfy b >= a; resonant b values produce skipped reports.
     A resonant a is an error (the whole sweep would be meaningless).
+
+    Resonance is decided once per coefficient: a when the spectra
+    start, each b when its side blocks are built.  The bound of a
+    window with validated ends is then the difference of the two
+    lattice counts of ``negative_eigenvalue_bound``, 0 for b == a.
     """
     reports: list[BoundReport] = []
-    for b, eigs in _difference_spectra(a, b_values, k, modes_per_side, guard):
+    spectra = _difference_spectra(a, b_values, k, modes_per_side, guard)
+    modes_below_a = _modes_below(a * k * k)
+    for b, eigs in spectra:
         if eigs is None:
             reports.append(
                 BoundReport(
@@ -187,7 +192,7 @@ def sweep(
                 a=a, b=b, k=k, modes_per_side=modes_per_side, delta=delta,
                 skipped=False,
                 measured_negative=count_negative(eigs, delta),
-                theoretical_bound=_theoretical_bound(a, b, k, guard),
+                theoretical_bound=_modes_below(b * k * k) - modes_below_a,
                 min_eigenvalue=float(eigs[-1]),
                 max_eigenvalue=float(eigs[0]),
             )

@@ -7,9 +7,9 @@ never mistaken for a genuine sign change.
 
 ``circulant_spectrum`` computes the spectrum of the block-circulant
 Neumann-to-Dirichlet matrix, or of a difference of two, from its side
-blocks by five small real symmetric eigensolves, whose matrices are
-read off the even and odd parity blocks of the adjacent-side block;
-the experiments and both estimators use it.  ``symmetric_eigenvalues``
+blocks by five small real symmetric eigensolves in three LAPACK
+calls, whose matrices are read off the even and odd parity blocks of
+the adjacent-side block; the experiments and both estimators use it.  ``symmetric_eigenvalues``
 of the dense matrix is its test oracle.
 
 Two truncation-error estimators are provided.  ``truncation_error``
@@ -29,8 +29,6 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nd_matrix import side_blocks
@@ -41,19 +39,6 @@ SYMMETRY_CHECK_RTOL = 1e-10
 
 #: Default threshold below which -eigenvalue counts as negative.
 DEFAULT_DELTA = 1e-5
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Sorted eigenvalues of a symmetric matrix plus the negative count.
-
-    ``negative_count`` is #{lambda : lambda < -tolerance} and
-    ``eigenvalues`` is sorted descending with multiplicity.
-    """
-
-    eigenvalues: tuple[float, ...]
-    tolerance: float
-    negative_count: int
 
 
 def _require_symmetric(matrix: np.ndarray, op: str) -> np.ndarray:
@@ -89,16 +74,6 @@ def count_negative(eigenvalues, delta: float) -> int:
     return int(np.count_nonzero(eigs < -delta))
 
 
-def spectrum_report(matrix: np.ndarray, delta: float) -> SpectrumReport:
-    """Eigendecompose and count negatives under the given threshold."""
-    eigs = symmetric_eigenvalues(matrix)
-    return SpectrumReport(
-        eigenvalues=tuple(float(v) for v in eigs),
-        tolerance=delta,
-        negative_count=count_negative(eigs, delta),
-    )
-
-
 def spectral_norm(matrix: np.ndarray) -> float:
     """Operator 2-norm of a symmetric matrix: max |eigenvalue|."""
     m = _require_symmetric(matrix, "spectral_norm")
@@ -128,8 +103,15 @@ def circulant_spectrum(
     ± 2N[h, h] on the even and odd halves h, and R = diag(same -
     opposite) with R[0::2, 1::2] = -2N[0::2, 1::2] and R[1::2, 0::2] =
     2N[1::2, 0::2], counted twice: four eigensolves of order about J/2
-    and one of order J instead of one of order 4J.  R keeps the
-    interleaved mode order; a reordered R rounds differently in LAPACK.
+    and one of order J instead of one of order 4J.  The ± pair of each
+    half is solved as one stacked problem, so a point costs three
+    LAPACK calls.  R keeps the interleaved mode order; a reordered R
+    rounds differently in LAPACK.
+
+    The pair is built in one buffer with the bits of diag ± coupling,
+    c = 2N[h, h]: p ± c on the diagonal and 0.0 ± c off it, which is
+    +0.0 where -c would be -0.0 (a zero entry of N, as in a zeroed
+    border).
 
     Every block is symmetric by construction, so no symmetry check is
     made.  The dense path, :func:`symmetric_eigenvalues` of the
@@ -138,10 +120,17 @@ def circulant_spectrum(
     plus = same + opposite
     parts = []
     for half in (slice(0, None, 2), slice(1, None, 2)):
-        diag = np.diag(plus[half])
-        coupling = 2 * block_next[half, half]
-        parts.append(np.linalg.eigvalsh(diag + coupling))
-        parts.append(np.linalg.eigvalsh(diag - coupling))
+        order = len(plus[half])
+        pair = np.empty((2, order, order))
+        up, down = pair
+        np.multiply(block_next[half, half], 2, out=down)
+        np.add(0.0, down, out=up)
+        diagonal = pair.reshape(2, order * order)[:, :: order + 1]
+        coupling = diagonal[1].copy()
+        np.subtract(0.0, down, out=down)
+        np.add(plus[half], coupling, out=diagonal[0])
+        np.subtract(plus[half], coupling, out=diagonal[1])
+        parts.extend(np.linalg.eigvalsh(pair))
     rotation = np.diag(same - opposite)
     rotation[1::2, 0::2] = 2 * block_next[1::2, 0::2]
     # -2N[0::2, 1::2] by the sign of N; the transpose keeps a zero

@@ -256,19 +256,32 @@ def side_blocks(
     the matrix; :func:`assemble` interleaves them and
     :func:`~ndsquare.linalg.circulant_spectrum` solves them without
     forming the dense matrix.
+
+    The next-side block is built in one buffer: the denominator
+    pi^2*(i^2+j^2) - a*k^2 (integer sums up to 2J^2 are exact in
+    float), then the numerator d_i*d_j, one of 1, sqrt(2) and
+    sqrt(2)*sqrt(2), divided in by region, and the sign (-1)^i applied
+    last, since IEEE division is sign-symmetric.
     """
     j_modes = params.modes_per_side
     ak2 = params.a * params.k * params.k
 
     idx = np.arange(j_modes)
-    d = np.where(idx == 0, 1.0, math.sqrt(2.0))
     sign = np.where(idx % 2 == 0, 1.0, -1.0)
-    sq = idx * idx
+    sq = np.square(idx, dtype=float)
 
-    denom = PI2 * np.add.outer(sq, sq)
-    denom -= ak2
-    block_next = np.multiply.outer(sign * d, d)
-    block_next /= denom
+    block_next = np.add.outer(sq, sq)
+    block_next *= PI2
+    block_next -= ak2
+    root2 = math.sqrt(2.0)
+    for region, numerator in (
+        (block_next[:1, :1], 1.0),
+        (block_next[:1, 1:], root2),
+        (block_next[1:, :1], root2),
+        (block_next[1:, 1:], root2 * root2),
+    ):
+        np.divide(numerator, region, out=region)
+    np.negative(block_next[1::2], out=block_next[1::2])
     c = PI2 * idx * idx - ak2
     same = sum_formula("plain", c)
     # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,

@@ -13,10 +13,20 @@ ran before resonance was decided once per coefficient by
 guard edge it refuses coefficients that ``is_resonant`` accepts.  The
 diagonal builders therefore evaluate ``closed_form``, the same value
 code without the check.
+
+The functions at the end are the earlier forms of the per-point work
+around the eigensolve, kept verbatim as oracles for the current ones:
+the next-side block as an outer product divided by an outer-sum
+denominator, ``circulant_spectrum`` with one LAPACK call per
+eigenproblem (five per point), and the trajectories CSV built one
+formatted line per eigenvalue.
 """
 
 import math
 
+import numpy as np
+
+from ndsquare.cli import TRAJECTORIES_CSV_HEADER
 from ndsquare.nd_matrix import normalizer
 from ndsquare.spectrum import DEFAULT_GUARD, PI2, ResonanceError
 
@@ -122,3 +132,57 @@ def adjacent_prev_entry(
     Equals ``adjacent_next_entry(j, i, a, k)``: the sign is (-1)^j.
     """
     return adjacent_next_entry(j, i, a, k, guard)
+
+
+def outer_product_next_block(params) -> np.ndarray:
+    """The next-side block of ``side_blocks`` from J×J temporaries."""
+    j_modes = params.modes_per_side
+    ak2 = params.a * params.k * params.k
+
+    idx = np.arange(j_modes)
+    d = np.where(idx == 0, 1.0, math.sqrt(2.0))
+    sign = np.where(idx % 2 == 0, 1.0, -1.0)
+    sq = idx * idx
+
+    denom = PI2 * np.add.outer(sq, sq)
+    denom -= ak2
+    block_next = np.multiply.outer(sign * d, d)
+    block_next /= denom
+    return block_next
+
+
+def five_call_circulant_spectrum(
+    same: np.ndarray, opposite: np.ndarray, block_next: np.ndarray
+) -> np.ndarray:
+    """``circulant_spectrum`` with one ``eigvalsh`` call per problem."""
+    plus = same + opposite
+    parts = []
+    for half in (slice(0, None, 2), slice(1, None, 2)):
+        diag = np.diag(plus[half])
+        coupling = 2 * block_next[half, half]
+        parts.append(np.linalg.eigvalsh(diag + coupling))
+        parts.append(np.linalg.eigvalsh(diag - coupling))
+    rotation = np.diag(same - opposite)
+    rotation[1::2, 0::2] = 2 * block_next[1::2, 0::2]
+    # -2N[0::2, 1::2] by the sign of N; the transpose keeps a zero
+    # entry of N (equal coefficients, zeroed border) at +0.0
+    rotation[0::2, 1::2] = rotation[1::2, 0::2].T
+    rotation = np.linalg.eigvalsh(rotation)
+    parts += [rotation, rotation]
+    return np.sort(np.concatenate(parts))[::-1]
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def per_line_trajectories_csv(points) -> str:
+    """The trajectories CSV text, one formatted line per eigenvalue."""
+    lines = [TRAJECTORIES_CSV_HEADER]
+    for point in points:
+        if point.skipped:
+            continue
+        b = _fmt(point.b)
+        for idx, eig in enumerate(point.eigenvalues):
+            lines.append(f"{b},{idx},{_fmt(eig)}")
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import signal
 import time
@@ -15,9 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
+from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
-from ndsquare.spectrum import ProblemParams
+from ndsquare.spectrum import PI2, ProblemParams
 from coefficients import GUARD_EDGE_EXAMPLE
+from scalar_reference import per_line_trajectories_csv
 
 
 def run(capsys, *argv):
@@ -290,6 +293,35 @@ class TestTrajectoriesCommand:
         payload = json.loads(out)
         assert [p["skipped"] for p in payload] == [False, True, False]
         assert payload[1]["eigenvalues"] is None
+
+    @pytest.mark.parametrize("size", ["4", "12"])
+    def test_csv_bytes_equal_the_per_line_emitter(self, capsys, size):
+        # b == a prints the zero spectrum, b = pi^2 is resonant and skipped
+        b_values = [-10.0, -9.0, PI2, 57.3, 200.0]
+        argv = ["trajectories", "--a", "-10", "--size", size]
+        for b in b_values:
+            argv += ["--b", repr(b)]
+        code, out, _ = run(capsys, *argv)
+        points = trajectories(-10.0, b_values, modes_per_side=int(size) // 4)
+        assert code == 0
+        assert [p.skipped for p in points] == [False, False, True, False, False]
+        assert out == per_line_trajectories_csv(points)
+
+    def test_csv_peak_memory(self):
+        # 100 points at size 400: the per-point strings peak at about
+        # 5.0 MB; one string per eigenvalue line peaked at about 7.3 MB
+        argv = [
+            "trajectories", "--a", "-10", "--b-min", "-9", "--b-max", "15.75",
+            "--b-step", "0.25", "--size", "400", "--out", os.devnull,
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6_000_000
 
 
 class TestCrossingCommand:

@@ -7,8 +7,14 @@ the acceptance suite.
 import numpy as np
 import pytest
 
+from ndsquare import experiments, spectrum
 from ndsquare.experiments import sweep, trajectories, verify_crossing
-from ndsquare.spectrum import PI2, ResonanceError, multiplicity
+from ndsquare.spectrum import (
+    PI2,
+    ResonanceError,
+    multiplicity,
+    negative_eigenvalue_bound,
+)
 
 
 class TestSweep:
@@ -59,6 +65,29 @@ class TestSweep:
         (report,) = sweep(-10.0, [5.0], modes_per_side=100)
         assert report.theoretical_bound == 1
         assert report.measured_negative in (0, 1)
+
+    def test_resonance_is_decided_once_per_coefficient(self, monkeypatch):
+        # the figure-1 sweep: a twice (the check and its side blocks),
+        # then each b once; every bound is the lattice count of the window
+        calls = []
+        decide = spectrum.is_resonant
+
+        def counted(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(spectrum, "is_resonant", counted)
+        monkeypatch.setattr(experiments, "is_resonant", counted)
+        b_values = [-9.0 + i for i in range(210)]
+        reports = sweep(-10.0, b_values, modes_per_side=2)
+        monkeypatch.undo()
+        assert len(calls) == len(b_values) + 2
+        assert [r.b for r in reports if r.skipped] == [0.0]
+        for r in reports:
+            if not r.skipped:
+                assert r.theoretical_bound == negative_eigenvalue_bound(
+                    -10.0, r.b
+                )
 
 
 class TestTrajectories:

@@ -1,23 +1,26 @@
 """Tests for the symmetric eigenvalue utilities and truncation estimators."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ndsquare import linalg
 from ndsquare.linalg import (
     circulant_spectrum,
     count_negative,
     difference_truncation_error,
     spectral_norm,
-    spectrum_report,
     symmetric_eigenvalues,
     truncation_error,
 )
 from ndsquare.nd_matrix import assemble, side_blocks
-from ndsquare.spectrum import ProblemParams, is_resonant
+from ndsquare.spectrum import ProblemParams, ResonanceError, is_resonant
 from scalar_reference import (
     adjacent_next_entry,
+    five_call_circulant_spectrum,
     opposite_side_diagonal,
     same_side_diagonal,
 )
@@ -105,6 +108,29 @@ class TestSpectralNorm:
         norm = spectral_norm(m)
         assert norm <= np.linalg.norm(m, "fro") + 1e-12
         assert norm >= np.max(np.abs(np.diag(m))) - 1e-12
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Sorted eigenvalues of a symmetric matrix plus the negative count.
+
+    ``negative_count`` is #{lambda : lambda < -tolerance} and
+    ``eigenvalues`` is sorted descending with multiplicity.
+    """
+
+    eigenvalues: tuple[float, ...]
+    tolerance: float
+    negative_count: int
+
+
+def spectrum_report(matrix: np.ndarray, delta: float) -> SpectrumReport:
+    """Eigendecompose and count negatives under the given threshold."""
+    eigs = symmetric_eigenvalues(matrix)
+    return SpectrumReport(
+        eigenvalues=tuple(float(v) for v in eigs),
+        tolerance=delta,
+        negative_count=count_negative(eigs, delta),
+    )
 
 
 class TestSpectrumReport:
@@ -241,3 +267,84 @@ class TestCirculantSpectrum:
             symmetric_eigenvalues(assemble(params).entries),
             rtol=0, atol=1e-13,
         )
+
+
+def assert_same_bits(x, y):
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def difference_blocks(a, b, j_modes):
+    blocks = side_blocks(ProblemParams(a=b, modes_per_side=j_modes))
+    for block, base_block in zip(
+        blocks, side_blocks(ProblemParams(a=a, modes_per_side=j_modes))
+    ):
+        block -= base_block
+    return blocks
+
+
+class TestStackedPairs:
+    """One eigvalsh call per parity half returns the five-call bits."""
+
+    @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 40, 51])
+    def test_figure_1_differences_and_single_operators(self, j_modes):
+        # the figure-1 grid b = -9..200 against a = -10, plus b == a,
+        # whose blocks are all +0.0; J = 1 has an empty odd half
+        checked = 0
+        for b in [-10.0] + [-9.0 + i for i in range(210)]:
+            try:
+                cases = (
+                    difference_blocks(-10.0, b, j_modes),
+                    side_blocks(ProblemParams(a=b, modes_per_side=j_modes)),
+                )
+            except ResonanceError:
+                continue
+            for blocks in cases:
+                assert_same_bits(
+                    circulant_spectrum(*blocks),
+                    five_call_circulant_spectrum(*blocks),
+                )
+            checked += 1
+        assert checked == 210
+
+    @pytest.mark.parametrize("j_modes", [1, 2, 3, 6, 9])
+    def test_signed_zero_entries(self, j_modes):
+        # no side block holds -0.0, but circulant_spectrum takes any
+        # blocks; p ± c and 0.0 ± c keep the bits of diag ± coupling
+        rng = np.random.default_rng(j_modes)
+        for fill in (0.0, -0.0):
+            for density in (1.0, 0.5):
+                same, opposite = rng.standard_normal((2, j_modes))
+                block_next = rng.standard_normal((j_modes, j_modes))
+                block_next += block_next.T
+                zeros = rng.random((j_modes, j_modes)) < density
+                zeros |= zeros.T
+                block_next[zeros] = fill
+                same[np.diagonal(zeros)] = fill
+                opposite[np.diagonal(zeros)] = fill
+                assert_same_bits(
+                    circulant_spectrum(same, opposite, block_next),
+                    five_call_circulant_spectrum(same, opposite, block_next),
+                )
+
+    @pytest.mark.parametrize("j_modes", [2, 4, 40, 250])
+    def test_zeroed_borders(self, monkeypatch, j_modes):
+        # _border_norm zeroes the first J/2 modes in place; a pair built
+        # as -c instead of 0.0 - c turns those zeros into -0.0 and
+        # changes truncation-check --size 1000 in the 17th digit
+        seen = []
+
+        def both(*blocks):
+            new = circulant_spectrum(*blocks)
+            assert_same_bits(new, five_call_circulant_spectrum(*blocks))
+            seen.append(blocks)
+            return new
+
+        monkeypatch.setattr(linalg, "circulant_spectrum", both)
+        truncation_error(ProblemParams(a=-10.0, modes_per_side=j_modes))
+        truncation_error(ProblemParams(a=200.0, modes_per_side=j_modes))
+        for a, b in ((-10.0, 200.0), (3.0, 57.3), (57.3, 57.3)):
+            difference_truncation_error(a, b, modes_per_side=j_modes)
+        assert len(seen) == 5
+        assert all(not blocks[2][: j_modes // 2, : j_modes // 2].any()
+                   for blocks in seen)

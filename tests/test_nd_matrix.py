@@ -40,6 +40,7 @@ from scalar_reference import (
     adjacent_next_entry,
     adjacent_prev_entry,
     opposite_side_diagonal,
+    outer_product_next_block,
     same_side_diagonal,
 )
 from scalar_reference import sum_formula as per_entry_sum_formula
@@ -259,6 +260,25 @@ class TestSideBlocks:
             reference = np.array(reference)
             assert np.array_equal(values, reference)
             assert np.array_equal(np.signbit(values), np.signbit(reference))
+
+    @given(
+        a=COEFFICIENT,
+        k=_WAVENUMBER,
+        j_modes=st.integers(min_value=1, max_value=300),
+    )
+    @example(a=GUARD_EDGE_EXAMPLE, k=1.0, j_modes=40)
+    @example(a=-10.0, k=1.0, j_modes=1000)
+    @example(a=1e5 + 0.3, k=1.0, j_modes=250)
+    @settings(max_examples=120, deadline=None)
+    def test_next_block_equals_the_outer_product_form(self, a, k, j_modes):
+        # one buffer divided by region and negated by row gives the bits
+        # of (sign_i*d_i)*d_j / (pi^2*(i^2+j^2) - a*k^2), signbits too
+        assume(not is_resonant(a, k))
+        params = ProblemParams(a=a, k=k, modes_per_side=j_modes)
+        block_next = side_blocks(params)[2]
+        reference = outer_product_next_block(params)
+        assert np.array_equal(block_next, reference)
+        assert np.array_equal(np.signbit(block_next), np.signbit(reference))
 
     @given(
         a=COEFFICIENT,
