@@ -5,11 +5,13 @@ experiment drivers comparing measured negative-eigenvalue counts with
 the theoretical dimension bound.
 
 The package namespace holds the names the README uses; everything else
-is imported from the submodules."""
+is imported from the submodules.  Reference implementations that only
+the tests use, such as the double-series oracle of the matrix, live in
+the test suite, not here."""
 
 from .experiments import sweep, verify_crossing
 from .linalg import difference_truncation_error, truncation_error
-from .nd_matrix import assemble, assemble_series_oracle, load_matrix
+from .nd_matrix import assemble, load_matrix
 from .solution_op import exact_negative_count
 from .spectrum import (
     ProblemParams,
@@ -25,7 +27,6 @@ __all__ = [
     "ProblemParams",
     "ResonanceError",
     "assemble",
-    "assemble_series_oracle",
     "difference_truncation_error",
     "exact_negative_count",
     "load_matrix",

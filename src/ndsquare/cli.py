@@ -6,7 +6,7 @@ sweep            negative-count vs bound comparison over a b grid (CSV/JSON)
 trajectories     full difference spectra over a b grid (CSV/JSON)
 crossing         crossing experiment at a Neumann eigenvalue level
 bound            print the lattice bound for a coefficient window
-assemble-dump    write an assembled matrix in the plain-text dump format
+assemble-dump    write the closed-form matrix in the plain-text dump format
 truncation-check per-operator and difference truncation-error estimates
 
 Exit codes: 0 success, 1 invalid flags (usage), 2 precondition or
@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import experiments, linalg, nd_matrix
 from .spectrum import (
@@ -121,14 +121,9 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
 
-    p = sub.add_parser("assemble-dump", help="dump an assembled matrix")
+    p = sub.add_parser("assemble-dump", help="dump the closed-form matrix")
     p.add_argument("--a", type=float, required=True)
     _add_common(p, tol=False)
-    p.add_argument(
-        "--series-cutoff", type=int, default=None,
-        help="assemble via the series oracle with this cutoff instead of "
-             "the closed forms",
-    )
 
     p = sub.add_parser(
         "truncation-check",
@@ -179,12 +174,13 @@ def _b_grid(parser: _Parser, args: argparse.Namespace) -> list[float]:
     return [args.b_min + i * args.b_step for i in range(int(span) + 1)]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    # written piece by piece, so a long output is never one string
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _json_dumps(obj) -> str:
@@ -201,7 +197,7 @@ def _run_sweep(parser: _Parser, args: argparse.Namespace) -> int:
         delta=args.tol, guard=args.guard,
     )
     if args.format == "json":
-        _emit(_json_dumps([dataclasses.asdict(r) for r in reports]), args.out)
+        _emit((_json_dumps([dataclasses.asdict(r) for r in reports]),), args.out)
         return 0
     lines = [SWEEP_CSV_HEADER]
     for r in reports:
@@ -212,7 +208,7 @@ def _run_sweep(parser: _Parser, args: argparse.Namespace) -> int:
                 f"{_fmt(r.b)},{r.measured_negative},{r.theoretical_bound},"
                 f"{_fmt(r.min_eigenvalue)},{_fmt(r.max_eigenvalue)},0"
             )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n",), args.out)
     return 0
 
 
@@ -223,7 +219,7 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
         args.a, b_values, k=args.k, modes_per_side=j_modes, guard=args.guard,
     )
     if args.format == "json":
-        _emit(_json_dumps([dataclasses.asdict(p) for p in points]), args.out)
+        _emit((_json_dumps([dataclasses.asdict(p) for p in points]),), args.out)
         return 0
     # one template fills the 4J rows of a point at once; %.17g gives
     # the bytes of _fmt, -0, inf and nan included
@@ -235,7 +231,7 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
         fields = [_fmt(point.b)] * (8 * j_modes)
         fields[1::2] = point.eigenvalues
         chunks.append(template % tuple(fields))
-    _emit("".join(chunks), args.out)
+    _emit(chunks, args.out)
     return 0
 
 
@@ -258,7 +254,7 @@ def _run_crossing(parser: _Parser, args: argparse.Namespace) -> int:
         payload = dataclasses.asdict(report)
         payload["measured"] = report.measured
         payload["agreed"] = report.agreed
-        _emit(_json_dumps(payload), args.out)
+        _emit((_json_dumps(payload),), args.out)
     return 0
 
 
@@ -273,11 +269,7 @@ def _run_assemble_dump(parser: _Parser, args: argparse.Namespace) -> int:
     params = ProblemParams(
         a=args.a, k=args.k, modes_per_side=j_modes, guard=args.guard
     )
-    if args.series_cutoff is not None:
-        nd = nd_matrix.assemble_series_oracle(params, args.series_cutoff)
-    else:
-        nd = nd_matrix.assemble(params)
-    _emit(nd_matrix.dumps_matrix(nd), args.out)
+    _emit((nd_matrix.dumps_matrix(nd_matrix.assemble(params)),), args.out)
     return 0
 
 
@@ -306,7 +298,7 @@ def _run_truncation_check(parser: _Parser, args: argparse.Namespace) -> int:
             "per_operator_a": per_a, "per_operator_b": per_b,
             "difference": diff,
         }
-        _emit(_json_dumps(payload), args.out)
+        _emit((_json_dumps(payload),), args.out)
         return 0
     lines = [f"per_operator_truncation_error a={_fmt(args.a)}: {_fmt(per_a)}"]
     if per_b is not None:
@@ -314,7 +306,7 @@ def _run_truncation_check(parser: _Parser, args: argparse.Namespace) -> int:
             f"per_operator_truncation_error b={_fmt(args.b)}: {_fmt(per_b)}"
         )
         lines.append(f"difference_truncation_error: {_fmt(diff)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n",), args.out)
     return 0
 
 
@@ -329,7 +321,9 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return _COMMANDS[args.command](args.parser, args)
     except (ValueError, OSError) as exc:  # ResonanceError is a ValueError

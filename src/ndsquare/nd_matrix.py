@@ -18,11 +18,11 @@ the offset (r - p) mod 4,
 
 The offset-0 and offset-2 kernels are ``same_side_entry`` and
 ``opposite_side_entry``; the offset-1 entry is
-(-1)^i * d_i * d_j / (pi^2*(i^2+j^2) - a*k^2), with d the normalizers
-of ``normalizer``, and offset 3 is its transpose.  All entries are
-exact values of the infinite matrix; truncation keeps modes
-j < modes_per_side per side, giving a dense symmetric matrix of size
-4*modes_per_side.
+(-1)^i * d_i * d_j / (pi^2*(i^2+j^2) - a*k^2), with the cosine
+normalizers d_0 = 1 and d_j = sqrt(2) for j >= 1, and offset 3 is its
+transpose.  All entries are exact values of the infinite matrix;
+truncation keeps modes j < modes_per_side per side, giving a dense
+symmetric matrix of size 4*modes_per_side.
 
 ``side_blocks`` evaluates the three distinct blocks once (the offset-0
 and offset-2 diagonals and the offset-1 block; offset 3 is its
@@ -42,15 +42,9 @@ block into four real symmetric eigenproblems of order about J/2 and one
 of order J, all read off that block's parity blocks.
 ``assemble`` interleaves the same blocks into the dense matrix, which
 remains the test oracle for that solver and the content of the dump.
-
-``assemble_series_oracle`` recomputes every entry by truncating the
-underlying double series over interior modes (l, m),
-
-    sum_{l,m} I_p(i,l,m) * I_r(j,l,m) / (pi^2*(l^2+m^2) - a*k^2),
-
-where I_p are the boundary overlap integrals (``overlap_integral``).
-It converges only at rate O(1/series_cutoff) and exists purely to
-validate the closed-form assembly.
+The closed forms themselves are checked against a truncation of the
+underlying double series over interior modes, which lives with the
+tests (``tests/oracles.py``).
 
 Poles of the closed forms (vanishing denominators, cot/csc poles and
 branch points) all correspond to a*k^2 hitting a Neumann eigenvalue
@@ -66,7 +60,6 @@ every entry is finite.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -75,23 +68,12 @@ import numpy as np
 from .spectrum import (
     DEFAULT_GUARD,
     PI2,
-    ModeIndex,
     ProblemParams,
 )
 
 #: Threshold above which csch(x)/x is evaluated as 2*exp(-x)/x, since
 #: sinh overflows near 710 (the entries decay like 1/x).
 LARGE_ARG = 30.0
-
-SIDE_RIGHT, SIDE_TOP, SIDE_LEFT, SIDE_BOTTOM = 0, 1, 2, 3
-
-
-def normalizer(j: int) -> float:
-    """Cosine-basis normalization constant: 1 for j = 0, sqrt(2) else."""
-    if j < 0:
-        raise ValueError(f"mode index must be nonnegative, got {j}")
-    return 1.0 if j == 0 else math.sqrt(2.0)
-
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
     # a math function entry by entry, for bit-identity (see sum_formula)
@@ -181,34 +163,6 @@ def sum_formula(kind: str, c: float | np.ndarray) -> float | np.ndarray:
     return out.reshape(c.shape)[()]
 
 
-def overlap_integral(
-    p: int, j: int, mode: ModeIndex | tuple[int, int]
-) -> float:
-    """Boundary overlap of basis function (side p, frequency j) with mode (l, m).
-
-    The four closed forms, one per side:
-
-        p=0 (right):  (-1)^l * d_l      if j == m else 0
-        p=1 (top):    (-1)^(m+j) * d_m  if j == l else 0
-        p=2 (left):   (-1)^j * d_l      if j == m else 0
-        p=3 (bottom): d_m               if j == l else 0
-    """
-    if p not in (0, 1, 2, 3):
-        raise ValueError(f"side index must be in 0..3, got {p}")
-    if j < 0:
-        raise ValueError(f"boundary mode index must be nonnegative, got {j}")
-    l, m = mode
-    if l < 0 or m < 0:
-        raise ValueError(f"mode indices must be nonnegative, got ({l}, {m})")
-    if p == SIDE_RIGHT:
-        return ((-1.0) ** l) * normalizer(l) if j == m else 0.0
-    if p == SIDE_TOP:
-        return ((-1.0) ** (m + j)) * normalizer(m) if j == l else 0.0
-    if p == SIDE_LEFT:
-        return ((-1.0) ** j) * normalizer(l) if j == m else 0.0
-    return normalizer(m) if j == l else 0.0
-
-
 @dataclass(frozen=True)
 class NdMatrix:
     """Dense symmetric truncated Neumann-to-Dirichlet matrix.
@@ -221,27 +175,10 @@ class NdMatrix:
         p in {0,1,2,3} and frequency j in [0, J).
     params : ProblemParams
         The coefficient, wavenumber and truncation used for assembly.
-    method : str
-        ``"closed_form"`` or ``"series_oracle"``.
-    series_cutoff : int | None
-        Mode cutoff of the double series; None for closed-form assembly.
     """
 
     entries: np.ndarray
     params: ProblemParams
-    method: str
-    series_cutoff: int | None = None
-
-    @property
-    def method_label(self) -> str:
-        if self.method == "series_oracle":
-            return f"series_oracle({self.series_cutoff})"
-        return self.method
-
-    def max_symmetry_defect(self) -> float:
-        """Max over (s, t) of |A[s,t] - A[t,s]| / max(1, |A[s,t]|)."""
-        denom = np.maximum(1.0, np.abs(self.entries))
-        return float(np.max(np.abs(self.entries - self.entries.T) / denom))
 
 
 def side_blocks(
@@ -311,95 +248,20 @@ def assemble(params: ProblemParams) -> NdMatrix:
     for p in range(4):
         for r in range(4):
             out[p::4, r::4] = blocks[(r - p) % 4]
-    return NdMatrix(entries=out, params=params, method="closed_form")
-
-
-def _series_entry(
-    i: int, p: int, j: int, r: int, a: float, k: float, cutoff: int
-) -> float:
-    """One entry of the truncated double series.
-
-    The overlap integrals vanish off a line (or point) of the (l, m)
-    lattice, so only the exactly-nonzero terms are enumerated; the value
-    is identical to the full double loop over l, m <= cutoff.
-    """
-    ak2 = a * k * k
-    p_pins_m = p in (SIDE_RIGHT, SIDE_LEFT)
-    r_pins_m = r in (SIDE_RIGHT, SIDE_LEFT)
-    if p_pins_m and r_pins_m:
-        if i != j:
-            return 0.0
-        points = [(l, i) for l in range(cutoff + 1)]
-    elif not p_pins_m and not r_pins_m:
-        if i != j:
-            return 0.0
-        points = [(i, m) for m in range(cutoff + 1)]
-    elif p_pins_m:
-        points = [(j, i)]
-    else:
-        points = [(i, j)]
-    return math.fsum(
-        overlap_integral(p, i, (l, m))
-        * overlap_integral(r, j, (l, m))
-        / (PI2 * (l * l + m * m) - ak2)
-        for (l, m) in points
-    )
-
-
-def assemble_series_oracle(
-    params: ProblemParams, series_cutoff: int
-) -> NdMatrix:
-    """Assemble the matrix by truncating the double series over (l, m).
-
-    Validation oracle for :func:`assemble`: entrywise error is
-    O(1/series_cutoff), dominated by the diagonal (same-side and
-    opposite-side) entries whose series run over a full lattice line.
-    Terms are accumulated with compensated summation (``math.fsum``).
-
-    ``series_cutoff`` must be at least ``params.modes_per_side`` so all
-    retained boundary modes find their pinned lattice lines.
-    """
-    j_modes = params.modes_per_side
-    if series_cutoff < max(1, j_modes):
-        raise ValueError(
-            f"series_cutoff must be >= modes_per_side = {j_modes}, "
-            f"got {series_cutoff}"
-        )
-    n = 4 * j_modes
-    out = np.zeros((n, n))
-    for i in range(j_modes):
-        for p in range(4):
-            for j in range(j_modes):
-                for r in range(4):
-                    s, t = 4 * i + p, 4 * j + r
-                    if t < s:
-                        continue
-                    out[s, t] = _series_entry(
-                        i, p, j, r, params.a, params.k, series_cutoff
-                    )
-    out = np.triu(out) + np.triu(out, 1).T
-    return NdMatrix(
-        entries=out,
-        params=params,
-        method="series_oracle",
-        series_cutoff=series_cutoff,
-    )
+    return NdMatrix(entries=out, params=params)
 
 
 def dumps_matrix(nd: NdMatrix) -> str:
     """A matrix in the plain-text dump format, as a string.
 
-    First line: ``<size> <k> <a> <method>``; then ``size`` rows of
+    First line: ``<size> <k> <a> closed_form``; then ``size`` rows of
     space-separated entries.  Reals carry 17 significant digits, so the
     dump round-trips exactly (:func:`load_matrix` parses it back).
     """
     n = nd.entries.shape[0]
-    lines = [f"{n} {nd.params.k:.17g} {nd.params.a:.17g} {nd.method_label}"]
+    lines = [f"{n} {nd.params.k:.17g} {nd.params.a:.17g} closed_form"]
     lines += [" ".join(f"{v:.17g}" for v in row) for row in nd.entries]
     return "\n".join(lines) + "\n"
-
-
-_METHOD_RE = re.compile(r"^(closed_form|series_oracle\((\d+)\))$")
 
 
 def load_matrix(stream: TextIO) -> NdMatrix:
@@ -410,17 +272,12 @@ def load_matrix(stream: TextIO) -> NdMatrix:
     n, k, a = int(header[0]), float(header[1]), float(header[2])
     if n % 4 != 0:
         raise ValueError(f"matrix size {n} is not divisible by 4")
-    match = _METHOD_RE.match(header[3])
-    if match is None:
+    if header[3] != "closed_form":
         raise ValueError(f"unknown assembly method {header[3]!r}")
-    cutoff = int(match.group(2)) if match.group(2) else None
     entries = np.loadtxt(stream, ndmin=2)
     if entries.shape != (n, n):
         raise ValueError(
             f"expected a {n}x{n} matrix, got shape {entries.shape}"
         )
     params = ProblemParams(a=a, k=k, modes_per_side=n // 4)
-    method = "series_oracle" if cutoff is not None else "closed_form"
-    return NdMatrix(
-        entries=entries, params=params, method=method, series_cutoff=cutoff
-    )
+    return NdMatrix(entries=entries, params=params)

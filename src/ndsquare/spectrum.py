@@ -23,7 +23,11 @@ every counting operation is ill-posed.  Floating-point equality is
 meaningless, so resonance means "within ``guard`` of an eigenvalue"
 (default ``DEFAULT_GUARD``); counting operations raise
 :class:`ResonanceError` for such inputs instead of silently picking a
-side of the window edge.
+side of the window edge.  Where resonance cannot be decided (a
+non-finite input, a float spacing of a*k^2 that reaches the guard, or a
+scan of the levels within the guard that would take more than
+``RESONANCE_SCAN_STEPS`` lattice steps), ``is_resonant`` raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ PI2 = math.pi ** 2
 #: Absolute tolerance, in units of a*k^2, inside which a coefficient is
 #: treated as resonant.
 DEFAULT_GUARD = 1e-9
+
+#: Most lattice steps one resonance decision may take: each candidate
+#: level n costs the isqrt(n) + 1 steps of :func:`multiplicity`.
+RESONANCE_SCAN_STEPS = 2 ** 20
 
 
 class ResonanceError(ValueError):
@@ -103,14 +111,6 @@ class ProblemParams:
         return 4 * self.modes_per_side
 
 
-def neumann_eigenvalue(mode: ModeIndex | tuple[int, int]) -> float:
-    """Neumann eigenvalue pi^2*(l^2 + m^2) of -Delta for the given mode."""
-    l, m = mode
-    if l < 0 or m < 0:
-        raise ValueError(f"mode indices must be nonnegative, got ({l}, {m})")
-    return PI2 * (l * l + m * m)
-
-
 def multiplicity(n: int) -> int:
     """Number of ordered pairs (l, m) with l, m >= 0 and l^2 + m^2 = n.
 
@@ -140,7 +140,10 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     a*k^2 whose float spacing ``math.ulp`` is at least ``guard`` (from
     2^23, about 8.4e6, at the default guard): there the rounding of
     a*k^2 and of pi^2*n alone reaches the guard, so resonance cannot be
-    decided.
+    decided.  A scan whose candidate levels would take more than
+    ``RESONANCE_SCAN_STEPS`` steps of :func:`multiplicity` in all raises
+    ``ValueError`` too, before the step that would pass the limit; a
+    scan within the limit answers as an unbounded one would.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
@@ -161,9 +164,18 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
         )
     center = round(target / PI2)
     reach = math.ceil(guard / PI2) + 1
+    steps = 0
     for n in range(max(0, center - reach), center + reach + 1):
-        if abs(target - PI2 * n) < guard and multiplicity(n) > 0:
-            return True
+        if abs(target - PI2 * n) < guard:
+            steps += math.isqrt(n) + 1
+            if steps > RESONANCE_SCAN_STEPS:
+                raise ValueError(
+                    f"a*k^2 = {target!r} with guard {guard}: deciding "
+                    f"resonance takes more than {RESONANCE_SCAN_STEPS} "
+                    f"lattice steps"
+                )
+            if multiplicity(n) > 0:
+                return True
     return False
 
 
@@ -234,26 +246,3 @@ def negative_eigenvalue_bound(
     if not a < b:
         raise ValueError(f"window requires a < b, got a={a}, b={b}")
     return _modes_below(hi) - _modes_below(lo)
-
-
-def construct_even_multiplicity(target: int) -> int:
-    """Level n = 5**(target-1) whose multiplicity is exactly ``target``.
-
-    For even ``target`` >= 2 the level 5**(target-1) has precisely
-    ``target`` ordered representations as a sum of two squares, so
-    pi^2 * 5**(target-1) is a Neumann eigenvalue of that multiplicity.
-    The result is re-validated against :func:`multiplicity` before
-    being returned.
-    """
-    if target < 2 or target % 2 != 0:
-        raise ValueError(
-            f"target multiplicity must be an even integer >= 2, got {target}"
-        )
-    n = 5 ** (target - 1)
-    actual = multiplicity(n)
-    if actual != target:
-        raise AssertionError(
-            f"constructed level {n} has multiplicity {actual}, "
-            f"expected {target}"
-        )
-    return n

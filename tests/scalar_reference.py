@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from ndsquare.cli import TRAJECTORIES_CSV_HEADER
-from ndsquare.nd_matrix import normalizer
 from ndsquare.spectrum import DEFAULT_GUARD, PI2, ResonanceError
+from oracles import normalizer
 
 #: Threshold above which csch(x)/x is evaluated as 2*exp(-x)/x, since
 #: sinh overflows near 710 (the entries decay like 1/x).

@@ -12,12 +12,12 @@ from ndsquare.linalg import (
     circulant_spectrum,
     count_negative,
     difference_truncation_error,
-    spectral_norm,
     symmetric_eigenvalues,
     truncation_error,
 )
 from ndsquare.nd_matrix import assemble, side_blocks
 from ndsquare.spectrum import ProblemParams, ResonanceError, is_resonant
+from oracles import spectral_norm
 from scalar_reference import (
     adjacent_next_entry,
     five_call_circulant_spectrum,

@@ -18,12 +18,9 @@ from ndsquare.experiments import sweep
 from ndsquare.nd_matrix import (
     NdMatrix,
     assemble,
-    assemble_series_oracle,
     dumps_matrix,
     load_matrix,
-    normalizer,
     opposite_side_entry,
-    overlap_integral,
     same_side_entry,
     side_blocks,
     sum_formula,
@@ -36,6 +33,12 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
 )
 from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE, NEAR_LEVEL
+from oracles import (
+    assemble_series_oracle,
+    max_symmetry_defect,
+    normalizer,
+    overlap_integral,
+)
 from scalar_reference import (
     adjacent_next_entry,
     adjacent_prev_entry,
@@ -385,7 +388,7 @@ class TestAssemble:
     )
     def test_symmetry_invariant(self, a, modes_per_side):
         nd = assemble(ProblemParams(a=a, k=1.0, modes_per_side=modes_per_side))
-        assert nd.max_symmetry_defect() <= 1e-12
+        assert max_symmetry_defect(nd.entries) <= 1e-12
         # exact: assemble relies on symmetry by construction
         assert np.array_equal(nd.entries, nd.entries.T)
 
@@ -400,7 +403,6 @@ class TestAssemble:
     def test_matrix_size(self):
         nd = assemble(ProblemParams(a=-1.0, modes_per_side=7))
         assert nd.entries.shape == (28, 28)
-        assert nd.method == "closed_form"
 
     def test_truncations_nest(self):
         # entries are exact values of the infinite matrix: a smaller
@@ -476,7 +478,6 @@ class TestDumpFormat:
         np.testing.assert_array_equal(loaded.entries, nd.entries)
         assert loaded.params.a == -1.5
         assert loaded.params.k == 2.0
-        assert loaded.method == "closed_form"
 
     def test_seventeen_significant_digits_roundtrip(self):
         nd = assemble(ProblemParams(a=-10.0 / 3.0, k=1.0, modes_per_side=1))
@@ -484,13 +485,13 @@ class TestDumpFormat:
         np.testing.assert_array_equal(loaded.entries, nd.entries)
 
     def test_series_oracle_method_label(self):
+        # the dump holds the closed-form matrix only; the series oracle
+        # is a test reference and has no header of its own
         params = ProblemParams(a=-1.0, modes_per_side=1)
-        nd = assemble_series_oracle(params, 50)
-        text = dumps_matrix(nd)
-        assert text.splitlines()[0] == "4 1 -1 series_oracle(50)"
-        loaded = load_matrix(io.StringIO(text))
-        assert loaded.method == "series_oracle"
-        assert loaded.series_cutoff == 50
+        rows = dumps_matrix(assemble_series_oracle(params, 50)).splitlines()
+        text = "\n".join(["4 1 -1 series_oracle(50)", *rows[1:]]) + "\n"
+        with pytest.raises(ValueError, match="unknown assembly method"):
+            load_matrix(io.StringIO(text))
 
     def test_load_rejects_malformed_header(self):
         with pytest.raises(ValueError):
@@ -504,5 +505,5 @@ class TestNdMatrixType:
         params = ProblemParams(a=-1.0, modes_per_side=1)
         entries = np.eye(4)
         entries[0, 1] = 1e-6
-        nd = NdMatrix(entries=entries, params=params, method="closed_form")
-        assert nd.max_symmetry_defect() == pytest.approx(1e-6)
+        nd = NdMatrix(entries=entries, params=params)
+        assert max_symmetry_defect(nd.entries) == pytest.approx(1e-6)

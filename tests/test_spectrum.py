@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndsquare import spectrum
 from ndsquare.spectrum import (
     ModeIndex,
     ProblemParams,
     ResonanceError,
-    construct_even_multiplicity,
     is_resonant,
     multiplicity,
     negative_eigenvalue_bound,
-    neumann_eigenvalue,
     positive_eigenvalue_count,
 )
+from oracles import construct_even_multiplicity, neumann_eigenvalue
 
 PI2 = math.pi ** 2
 
@@ -103,6 +103,20 @@ class TestIsResonant:
         # a wider guard moves the limit; negative thresholds stay decidable
         assert is_resonant(2.0**23, 1.0, guard=1e-8) is False
         assert is_resonant(-1e308, 1.0) is False
+
+    def test_scan_budget(self, monkeypatch):
+        # a guard of 1e6 at 1e20 spans about 2e5 levels near 1e19, each
+        # an O(3e9) multiplicity scan: refused before the first one
+        limit = f"more than {spectrum.RESONANCE_SCAN_STEPS} lattice steps"
+        with pytest.raises(ValueError, match=limit):
+            is_resonant(1e20, 1.0, guard=1e6)
+        # within the budget the answer is the unbounded scan's
+        cases = [
+            (1e12, 1e-3), (2e12, 1e-3), (1e9, 10.0), (1e9, 1e3), (5e5, 1e6),
+        ]
+        bounded = [is_resonant(a, 1.0, guard) for a, guard in cases]
+        monkeypatch.setattr(spectrum, "RESONANCE_SCAN_STEPS", math.inf)
+        assert bounded == [is_resonant(a, 1.0, guard) for a, guard in cases]
 
 
 class TestPositiveEigenvalueCount:
