@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import experiments, linalg, nd_matrix
 from .spectrum import (
@@ -215,23 +215,30 @@ def _run_sweep(parser: _Parser, args: argparse.Namespace) -> int:
 def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
     j_modes = _modes_per_side(parser, args.size)
     b_values = _b_grid(parser, args)
-    points = experiments.trajectories(
-        args.a, b_values, k=args.k, modes_per_side=j_modes, guard=args.guard,
-    )
     if args.format == "json":
+        points = experiments.trajectories(
+            args.a, b_values, k=args.k, modes_per_side=j_modes,
+            guard=args.guard,
+        )
         _emit((_json_dumps([dataclasses.asdict(p) for p in points]),), args.out)
         return 0
+    # every b is decided here, before a byte is written
+    spectra = experiments.difference_spectra(
+        args.a, b_values, args.k, j_modes, args.guard
+    )
     # one template fills the 4J rows of a point at once; %.17g gives
     # the bytes of _fmt, -0, inf and nan included
     template = "".join(f"%s,{idx},%.17g\n" for idx in range(4 * j_modes))
-    chunks = [TRAJECTORIES_CSV_HEADER + "\n"]
-    for point in points:
-        if point.skipped:
-            continue
-        fields = [_fmt(point.b)] * (8 * j_modes)
-        fields[1::2] = point.eigenvalues
-        chunks.append(template % tuple(fields))
-    _emit(chunks, args.out)
+
+    def chunks() -> Iterator[str]:
+        yield TRAJECTORIES_CSV_HEADER + "\n"
+        for b, eigs in spectra:
+            if eigs is not None:
+                fields = [_fmt(b)] * (8 * j_modes)
+                fields[1::2] = eigs.tolist()
+                yield template % tuple(fields)
+
+    _emit(chunks(), args.out)
     return 0
 
 

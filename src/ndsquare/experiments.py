@@ -17,10 +17,14 @@ difference of two truncated Neumann-to-Dirichlet matrices:
   guaranteed for small enough windows, so a disagreeing first attempt
   is retried once at half the width and both attempts are reported.
 
-Every spectrum is :func:`~ndsquare.linalg.circulant_spectrum` of the
-differenced side blocks (:func:`~ndsquare.nd_matrix.side_blocks`); the
-dense 4J×4J matrix is never formed.  Grid points are processed in input
-order and the outputs are deterministic functions of the inputs.
+All three consume :func:`difference_spectra`, the one experiment loop.
+It solves the grid in batches of points, with one
+:func:`~ndsquare.nd_matrix.side_blocks` and one
+:func:`~ndsquare.linalg.circulant_spectrum` call per batch, and hands
+each spectrum on as soon as its batch is solved, so a consumer that
+streams (the CLI's ``trajectories`` CSV writer) holds one batch at a
+time.  The dense 4J×4J matrix is never formed, and the outputs are
+deterministic functions of the inputs.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ from .spectrum import (
     multiplicity,
     negative_eigenvalue_bound,
 )
+
+#: Next-side block entries P·J² per batch of grid points: a batch holds
+#: max(1, BATCH_ENTRIES // J**2) points, 6 at J = 100 and 1 from J = 182.
+BATCH_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ class CrossingReport:
         return self.measured == self.expected
 
 
-def _difference_spectra(
+def difference_spectra(
     a: float,
     b_values: Sequence[float],
     k: float,
@@ -125,33 +133,46 @@ def _difference_spectra(
 ) -> Iterator[tuple[float, np.ndarray | None]]:
     """Iterate (b, descending spectrum of Λ(b) − Λ(a)) in grid order.
 
-    The spectrum is None for a resonant b.  The base coefficient a is
-    validated and its side blocks assembled once, before this returns;
-    no 4J×4J matrix is formed.
+    The spectrum is None for a resonant b.  Before this returns, a is
+    validated, every b gets its :class:`ProblemParams` (so a b that
+    cannot be decided raises here, before any eigensolve) and the side
+    blocks of a are assembled.  The valid b values are then solved in
+    input order, ``max(1, BATCH_ENTRIES // modes_per_side**2)`` at a
+    time: one :func:`side_blocks` call and one :func:`circulant_spectrum`
+    call per batch, each spectrum yielded as soon as its batch is
+    solved and bit for bit the spectrum of that b alone.  No 4J×4J
+    matrix is formed.
     """
     if is_resonant(a, k, guard):
         raise ResonanceError(f"base coefficient a={a!r} is resonant")
     if any(b < a for b in b_values):
         raise ValueError("b >= a is required at every grid point")
+    params: list[ProblemParams | None] = []
+    for b in b_values:
+        try:
+            params.append(ProblemParams(
+                a=b, k=k, modes_per_side=modes_per_side, guard=guard
+            ))
+        except ResonanceError:
+            params.append(None)
     base = side_blocks(
         ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     )
+    valid = [p for p in params if p is not None]
+    size = max(1, BATCH_ENTRIES // modes_per_side**2)
 
-    def spectra() -> Iterator[tuple[float, np.ndarray | None]]:
-        for b in b_values:
-            try:
-                params = ProblemParams(
-                    a=b, k=k, modes_per_side=modes_per_side, guard=guard
-                )
-            except ResonanceError:
-                yield b, None
-                continue
-            blocks = side_blocks(params)
+    def solved() -> Iterator[np.ndarray]:
+        for start in range(0, len(valid), size):
+            blocks = side_blocks(valid[start:start + size])
             for block, base_block in zip(blocks, base):
                 block -= base_block
-            yield b, circulant_spectrum(*blocks)
+            yield from circulant_spectrum(*blocks)
 
-    return spectra()
+    spectra = solved()
+    return (
+        (b, None if p is None else next(spectra))
+        for b, p in zip(b_values, params)
+    )
 
 
 def sweep(
@@ -168,13 +189,13 @@ def sweep(
     b must satisfy b >= a; resonant b values produce skipped reports.
     A resonant a is an error (the whole sweep would be meaningless).
 
-    Resonance is decided once per coefficient: a when the spectra
-    start, each b when its side blocks are built.  The bound of a
-    window with validated ends is then the difference of the two
-    lattice counts of ``negative_eigenvalue_bound``, 0 for b == a.
+    Resonance is decided once per coefficient, for a and every b
+    before the first eigensolve.  The bound of a window with validated
+    ends is then the difference of the two lattice counts of
+    ``negative_eigenvalue_bound``, 0 for b == a.
     """
     reports: list[BoundReport] = []
-    spectra = _difference_spectra(a, b_values, k, modes_per_side, guard)
+    spectra = difference_spectra(a, b_values, k, modes_per_side, guard)
     modes_below_a = _modes_below(a * k * k)
     for b, eigs in spectra:
         if eigs is None:
@@ -207,13 +228,17 @@ def trajectories(
     modes_per_side: int = 100,
     guard: float = DEFAULT_GUARD,
 ) -> list[TrajectoryPoint]:
-    """Descending spectrum of the difference matrix for each b."""
+    """Descending spectrum of the difference matrix for each b.
+
+    Returns a list of every point; to hold one batch at a time,
+    iterate :func:`difference_spectra` instead.
+    """
     return [
         TrajectoryPoint(
             b=b, skipped=eigs is None,
             eigenvalues=None if eigs is None else tuple(eigs.tolist()),
         )
-        for b, eigs in _difference_spectra(
+        for b, eigs in difference_spectra(
             a, b_values, k, modes_per_side, guard
         )
     ]
@@ -223,7 +248,7 @@ def _measure_crossing(
     c: float, eps: float, k: float, modes_per_side: int, delta: float,
     guard: float,
 ) -> int:
-    ((upper, eigs),) = _difference_spectra(
+    ((upper, eigs),) = difference_spectra(
         c - eps, [c + eps], k, modes_per_side, guard
     )
     if eigs is None:

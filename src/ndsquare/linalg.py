@@ -9,8 +9,10 @@ never mistaken for a genuine sign change.
 Neumann-to-Dirichlet matrix, or of a difference of two, from its side
 blocks by five small real symmetric eigensolves in three LAPACK
 calls, whose matrices are read off the even and odd parity blocks of
-the adjacent-side block; the experiments and both estimators use it,
-and both estimators take their spectral norms from it.
+the adjacent-side block.  It takes leading batch axes, so the
+experiments solve a batch of grid points in the same three calls on
+stacked problems; both estimators call it unbatched and take their
+spectral norms from it.
 ``symmetric_eigenvalues`` of the dense matrix is its test oracle.
 
 Two truncation-error estimators are provided.  ``truncation_error``
@@ -86,6 +88,13 @@ def circulant_spectrum(
     the 4J eigenvalues are those of the dense matrix that
     :func:`~ndsquare.nd_matrix.assemble` would interleave from them.
 
+    The blocks may carry leading batch axes: ``same`` and ``opposite``
+    of shape (..., J) and ``block_next`` of shape (..., J, J) give the
+    spectra of shape (..., 4J), each descending along the last axis and
+    bit for bit the spectrum of that member alone.  A batch of P
+    members costs the same three LAPACK calls as one member, on stacks
+    of P problems.
+
     The 4-point DFT over the sides (Davis, *Circulant Matrices*, 1979)
     leaves diag(same + opposite) ± (N + N^T) and, twice, the coupling of
     x and y through N - N^T on side vectors (x, y, -x, -y).  Entry (i, j)
@@ -96,9 +105,9 @@ def circulant_spectrum(
     opposite) with R[0::2, 1::2] = -2N[0::2, 1::2] and R[1::2, 0::2] =
     2N[1::2, 0::2], counted twice: four eigensolves of order about J/2
     and one of order J instead of one of order 4J.  The ± pair of each
-    half is solved as one stacked problem, so a point costs three
-    LAPACK calls.  R keeps the interleaved mode order; a reordered R
-    rounds differently in LAPACK.
+    half is solved as one stacked problem of shape (..., 2, h, h), so a
+    batch costs three LAPACK calls.  R keeps the interleaved mode
+    order; a reordered R rounds differently in LAPACK.
 
     The pair is built in one buffer with the bits of diag ± coupling,
     c = 2N[h, h]: p ± c on the diagonal and 0.0 ± c off it, which is
@@ -111,28 +120,35 @@ def circulant_spectrum(
     made.  The dense path, :func:`symmetric_eigenvalues` of the
     assembled matrix, is the test oracle for this one.
     """
+    lead = same.shape[:-1]
+    j_modes = same.shape[-1]
     plus = same + opposite
     parts = []
     for half in (slice(0, None, 2), slice(1, None, 2)):
-        order = len(plus[half])
-        pair = np.empty((2, order, order))
-        up, down = pair
-        np.multiply(block_next[half, half], 2, out=down)
+        order = plus[..., half].shape[-1]
+        pair = np.empty(lead + (2, order, order))
+        up, down = pair[..., 0, :, :], pair[..., 1, :, :]
+        np.multiply(block_next[..., half, half], 2, out=down)
         np.add(0.0, down, out=up)
-        diagonal = pair.reshape(2, order * order)[:, :: order + 1]
-        coupling = diagonal[1].copy()
+        diagonal = pair.reshape(lead + (2, order * order))[..., :: order + 1]
+        coupling = diagonal[..., 1, :].copy()
         np.subtract(0.0, down, out=down)
-        np.add(plus[half], coupling, out=diagonal[0])
-        np.subtract(plus[half], coupling, out=diagonal[1])
-        parts.extend(np.linalg.eigvalsh(pair))
-    rotation = np.diag(same - opposite)
-    rotation[1::2, 0::2] = 2 * block_next[1::2, 0::2]
+        np.add(plus[..., half], coupling, out=diagonal[..., 0, :])
+        np.subtract(plus[..., half], coupling, out=diagonal[..., 1, :])
+        parts.append(np.linalg.eigvalsh(pair).reshape(lead + (2 * order,)))
+    rotation = np.zeros(lead + (j_modes, j_modes))
+    rotation.reshape(lead + (j_modes * j_modes,))[..., :: j_modes + 1] = (
+        same - opposite
+    )
+    rotation[..., 1::2, 0::2] = 2 * block_next[..., 1::2, 0::2]
     # -2N[0::2, 1::2] by the sign of N; the transpose keeps a zero
     # entry of N (equal coefficients, zeroed border) at +0.0
-    rotation[0::2, 1::2] = rotation[1::2, 0::2].T
+    rotation[..., 0::2, 1::2] = np.swapaxes(
+        rotation[..., 1::2, 0::2], -1, -2
+    )
     rotation = np.linalg.eigvalsh(rotation)
     parts += [rotation, rotation]
-    return np.sort(np.concatenate(parts))[::-1]
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1]
 
 
 def _border_norm(

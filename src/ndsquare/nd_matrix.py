@@ -26,8 +26,9 @@ symmetric matrix of size 4*modes_per_side.
 
 ``side_blocks`` evaluates the three distinct blocks once (the offset-0
 and offset-2 diagonals and the offset-1 block; offset 3 is its
-transpose), each as one array expression over the mode index: both
-diagonals come from :func:`sum_formula` on the array
+transpose), each as one array expression over the mode index, and
+over a batch of coefficients that share J when given several:
+both diagonals come from :func:`sum_formula` on the array
 c = pi^2*i^2 - a*k^2.  The transcendental functions there are the
 ``math`` ones mapped over the entries, and the rest is numpy's
 correctly rounded arithmetic in the scalar order, so every entry is
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -182,7 +183,7 @@ class NdMatrix:
 
 
 def side_blocks(
-    params: ProblemParams,
+    params: ProblemParams | Sequence[ProblemParams],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three distinct side blocks of the truncated matrix.
 
@@ -194,36 +195,55 @@ def side_blocks(
     :func:`~ndsquare.linalg.circulant_spectrum` solves them without
     forming the dense matrix.
 
-    The next-side block is built in one buffer: the denominator
-    pi^2*(i^2+j^2) - a*k^2 (integer sums up to 2J^2 are exact in
-    float), then the numerator d_i*d_j, one of 1, sqrt(2) and
-    sqrt(2)*sqrt(2), divided in by region, and the sign (-1)^i applied
-    last, since IEEE division is sign-symmetric.
+    A sequence of P validated coefficients that share
+    ``modes_per_side`` is evaluated in one pass, with a leading batch
+    axis: shapes (P, J), (P, J) and (P, J, J), member p bit for bit the
+    blocks of ``params[p]`` alone (each member's own a*k^2 is used).  One :class:`ProblemParams` gives
+    the shapes without that axis.
+
+    The next-side blocks are built in one buffer: the levels
+    pi^2*(i^2+j^2) (integer sums up to 2J^2 are exact in float) are
+    formed once per batch in the first member's slot, the other members
+    subtract their a*k^2 from it, and the first subtracts its own last.
+    Then the numerator d_i*d_j, one of 1, sqrt(2) and sqrt(2)*sqrt(2),
+    is divided in by region, and the sign (-1)^i applied last, since
+    IEEE division is sign-symmetric.  No J×J temporary is made.
     """
-    j_modes = params.modes_per_side
-    ak2 = params.a * params.k * params.k
+    batch = [params] if isinstance(params, ProblemParams) else list(params)
+    if len({p.modes_per_side for p in batch}) != 1:
+        raise ValueError(
+            "side_blocks needs one or more coefficients that share "
+            "modes_per_side"
+        )
+    j_modes = batch[0].modes_per_side
+    ak2 = np.array([p.a * p.k * p.k for p in batch])
 
     idx = np.arange(j_modes)
     sign = np.where(idx % 2 == 0, 1.0, -1.0)
     sq = np.square(idx, dtype=float)
 
-    block_next = np.add.outer(sq, sq)
-    block_next *= PI2
-    block_next -= ak2
+    block_next = np.empty((len(batch), j_modes, j_modes))
+    levels = block_next[0]
+    np.add(sq[:, None], sq, out=levels)
+    levels *= PI2
+    np.subtract(levels, ak2[1:, None, None], out=block_next[1:])
+    levels -= ak2[0]
     root2 = math.sqrt(2.0)
     for region, numerator in (
-        (block_next[:1, :1], 1.0),
-        (block_next[:1, 1:], root2),
-        (block_next[1:, :1], root2),
-        (block_next[1:, 1:], root2 * root2),
+        (block_next[:, :1, :1], 1.0),
+        (block_next[:, :1, 1:], root2),
+        (block_next[:, 1:, :1], root2),
+        (block_next[:, 1:, 1:], root2 * root2),
     ):
         np.divide(numerator, region, out=region)
-    np.negative(block_next[1::2], out=block_next[1::2])
-    c = PI2 * idx * idx - ak2
+    np.negative(block_next[:, 1::2], out=block_next[:, 1::2])
+    c = PI2 * idx * idx - ak2[:, None]
     same = sum_formula("plain", c)
     # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
     # so a dump never prints "-0"
     opposite = sign * sum_formula("alternating", c) + 0.0
+    if isinstance(params, ProblemParams):
+        return same[0], opposite[0], block_next[0]
     return same, opposite, block_next
 
 

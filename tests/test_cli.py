@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ndsquare import experiments
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
@@ -294,23 +295,35 @@ class TestTrajectoriesCommand:
         assert [p["skipped"] for p in payload] == [False, True, False]
         assert payload[1]["eigenvalues"] is None
 
-    @pytest.mark.parametrize("size", ["4", "12"])
-    def test_csv_bytes_equal_the_per_line_emitter(self, capsys, size):
-        # b == a prints the zero spectrum, b = pi^2 is resonant and skipped
+    @pytest.mark.parametrize("size", ["4", "12", "400"])
+    def test_csv_bytes_equal_the_per_line_emitter(
+        self, capsys, monkeypatch, size
+    ):
+        # b == a prints the zero spectrum, b = pi^2 is resonant and
+        # skipped; at size 400 a batch holds 6 points, and the 15-point
+        # grid crosses two batch boundaries with pi^2 on the first.  The
+        # reference points are solved one at a time.
         b_values = [-10.0, -9.0, PI2, 57.3, 200.0]
+        if size == "400":
+            b_values = [-10.0, -9.0, -8.0, -7.0, -6.0, -5.0, PI2]
+            b_values += [11.0 + 23.5 * i for i in range(8)]
         argv = ["trajectories", "--a", "-10", "--size", size]
         for b in b_values:
             argv += ["--b", repr(b)]
         code, out, _ = run(capsys, *argv)
+        monkeypatch.setattr(experiments, "BATCH_ENTRIES", 1)
         points = trajectories(-10.0, b_values, modes_per_side=int(size) // 4)
         assert code == 0
-        assert [p.skipped for p in points] == [False, False, True, False, False]
-        assert out == per_line_trajectories_csv(points)
+        assert [p.skipped for p in points] == [b == PI2 for b in b_values]
+        # lines, not one string: pytest's diff of two long strings is
+        # quadratic, and its report of two lists names the first change
+        expected = per_line_trajectories_csv(points)
+        assert out.splitlines(True) == expected.splitlines(True)
 
     def test_csv_peak_memory(self):
-        # 100 points at size 400: the per-point strings, written one by
-        # one, peak at about 2.8 MB; joined into one string they peaked
-        # at about 5.2 MB, and one string per eigenvalue line at 7.3 MB
+        # 100 points at size 400, streamed in batches of 6 points, peak
+        # at about 1.6 MB; kept to the end and written one by one they
+        # peaked at about 2.8 MB, joined into one string at about 5.2 MB
         argv = [
             "trajectories", "--a", "-10", "--b-min", "-9", "--b-max", "15.75",
             "--b-step", "0.25", "--size", "400", "--out", os.devnull,
@@ -323,6 +336,26 @@ class TestTrajectoriesCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak < 4_000_000
+
+    def test_csv_peak_memory_is_flat_in_grid_length(self):
+        # about 1.6 MB at both 100 and 400 points; kept to the end, the
+        # points peaked at about 2.8 and 10 MB.  A first short run takes
+        # the one-time allocations out of the comparison.
+        peaks = []
+        for b_max in ("-9", "15.75", "90.75"):
+            tracemalloc.start()
+            try:
+                code = main([
+                    "trajectories", "--a", "-10", "--b-min", "-9",
+                    "--b-max", b_max, "--b-step", "0.25", "--size", "400",
+                    "--out", os.devnull,
+                ])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        short, long = peaks[1:]
+        assert abs(long - short) < 0.1 * short
 
 
 class TestCrossingCommand:
@@ -452,6 +485,29 @@ def test_undecidable_input_exits_2_within_2_s(capsys, argv):
     assert out == ""
     assert err.startswith(f"ndsquare {argv[0]}:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", ["sweep", "trajectories"])
+def test_undecidable_b_fails_before_any_output_or_eigensolve(
+    tmp_path, capsys, monkeypatch, command, to_file
+):
+    # every b is decided before the first eigensolve and the first byte
+    def refuse(*blocks):
+        raise AssertionError("circulant_spectrum was called")
+
+    monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+    path = tmp_path / "out.csv"
+    argv = [command, "--a", "-10", "--b", "5", "--b", "1e300", "--size", "8"]
+    if to_file:
+        argv += ["--out", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ndsquare {command}:")
+    assert "decidability limit" in err
+    assert err.count("\n") == 1
+    assert not path.exists()
 
 
 _EDGE = repr(GUARD_EDGE_EXAMPLE)

@@ -117,6 +117,75 @@ class TestTrajectories:
         assert points[0].eigenvalues is None
 
 
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(
+        x.view(np.int64), y.view(np.int64)
+    )
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The number of points of each circulant_spectrum call, in order."""
+    solved = experiments.circulant_spectrum
+    sizes = []
+
+    def recorded(*blocks):
+        sizes.append(blocks[0].shape[0])
+        return solved(*blocks)
+
+    monkeypatch.setattr(experiments, "circulant_spectrum", recorded)
+    return sizes
+
+
+class TestDifferenceSpectra:
+    def test_batches_follow_input_order(self, monkeypatch, batch_sizes):
+        # J = 100 puts 6 points in a batch; b == a opens the grid and
+        # the resonant b = pi^2 sits right after the first batch
+        assert experiments.BATCH_ENTRIES // 100**2 == 6
+        b_values = [-10.0, -9.0, -8.0, -7.0, -6.0, -5.0, PI2]
+        b_values += [11.0 + i for i in range(8)]
+        spectra = list(
+            experiments.difference_spectra(-10.0, b_values, 1.0, 100, 1e-9)
+        )
+        assert batch_sizes == [6, 6, 2]
+        monkeypatch.setattr(experiments, "BATCH_ENTRIES", 1)
+        single = list(
+            experiments.difference_spectra(-10.0, b_values, 1.0, 100, 1e-9)
+        )
+        assert batch_sizes == [6, 6, 2] + [1] * 14
+        assert [b for b, _ in spectra] == b_values
+        assert [eigs is None for _, eigs in spectra] == [
+            b == PI2 for b in b_values
+        ]
+        for (_, eigs), (_, alone) in zip(spectra, single):
+            assert (eigs is None) == (alone is None)
+            assert eigs is None or _same_bits(eigs, alone)
+        assert not spectra[0][1].any()
+
+    def test_batches_are_solved_on_demand(self, batch_sizes):
+        # a consumer gets the first spectrum after one batch is solved
+        spectra = experiments.difference_spectra(
+            -10.0, [-9.0 + i for i in range(20)], 1.0, 100, 1e-9
+        )
+        assert batch_sizes == []
+        next(spectra)
+        assert batch_sizes == [6]
+
+    @pytest.mark.parametrize("driver", [sweep, trajectories])
+    def test_undecidable_b_fails_before_any_eigensolve(
+        self, monkeypatch, driver
+    ):
+        def refuse(*blocks):
+            raise AssertionError("circulant_spectrum was called")
+
+        monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+        with pytest.raises(ValueError, match="decidability limit"):
+            driver(-10.0, [5.0, 1e300], modes_per_side=4)
+        with pytest.raises(ValueError, match="decidability limit"):
+            experiments.difference_spectra(-10.0, [5.0, 1e300], 1.0, 4, 1e-9)
+
+
 class TestVerifyCrossing:
     def test_simple_crossing(self):
         report = verify_crossing(1, eps=0.1, modes_per_side=40)

@@ -348,3 +348,54 @@ class TestStackedPairs:
         assert len(seen) == 5
         assert all(not blocks[2][: j_modes // 2, : j_modes // 2].any()
                    for blocks in seen)
+
+
+def batch_members(j_modes, members):
+    # b == a (all +0.0), a zeroed border as _border_norm passes it,
+    # figure-1 differences and single operators
+    half = j_modes // 2
+    zeroed = difference_blocks(-10.0, 57.3, j_modes)
+    zeroed[0][:half] = 0.0
+    zeroed[1][:half] = 0.0
+    zeroed[2][:half, :half] = 0.0
+    cases = [
+        difference_blocks(-10.0, -10.0, j_modes),
+        zeroed,
+        difference_blocks(-10.0, -9.0, j_modes),
+        side_blocks(ProblemParams(a=57.3, modes_per_side=j_modes)),
+        difference_blocks(-10.0, 200.0, j_modes),
+        difference_blocks(-10.0, 5.5, j_modes),
+        side_blocks(ProblemParams(a=-10.0, modes_per_side=j_modes)),
+    ]
+    return cases[:members]
+
+
+class TestBatchAxis:
+    """A stacked call returns each member's own bits."""
+
+    @pytest.mark.parametrize("members", [1, 2, 7])
+    @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 100, 251])
+    def test_stacked_members_equal_single_calls(self, j_modes, members):
+        cases = batch_members(j_modes, members)
+        assert len(cases) == members
+        stacked = circulant_spectrum(
+            *(np.stack([case[part] for case in cases]) for part in range(3))
+        )
+        assert stacked.shape == (members, 4 * j_modes)
+        for row, case in zip(stacked, cases):
+            assert_same_bits(row, circulant_spectrum(*case))
+            assert_same_bits(row, five_call_circulant_spectrum(*case))
+
+    def test_two_batch_axes(self):
+        cases = batch_members(3, 4)
+        stacked = circulant_spectrum(
+            *(
+                np.stack([case[part] for case in cases]).reshape(
+                    (2, 2) + cases[0][part].shape
+                )
+                for part in range(3)
+            )
+        )
+        assert stacked.shape == (2, 2, 12)
+        for row, case in zip(stacked.reshape(4, 12), cases):
+            assert_same_bits(row, circulant_spectrum(*case))

@@ -322,6 +322,52 @@ class TestSideBlocks:
         assert np.isfinite(same[0]) and abs(same[0]) > 1e9
         assert np.isfinite(opposite[0]) and np.isfinite(block_next).all()
 
+    @pytest.mark.parametrize("members", [1, 2, 7])
+    @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 100, 251])
+    @pytest.mark.parametrize("k", [1.0, 0.7])
+    def test_batch_equals_per_coefficient_blocks(self, k, j_modes, members):
+        # the guard edge (at k = 1), a far coefficient, equal
+        # coefficients and both signs; each member keeps its values and
+        # signbits
+        coefficients = [
+            -10.0, GUARD_EDGE_EXAMPLE / (k * k), -10.0, 1e5 + 0.3, 57.3,
+            -60.0, 200.0,
+        ][:members]
+        batch = [
+            ProblemParams(a=a, k=k, modes_per_side=j_modes)
+            for a in coefficients
+        ]
+        stacked = side_blocks(batch)
+        shapes = [(members, j_modes), (members, j_modes),
+                  (members, j_modes, j_modes)]
+        assert [part.shape for part in stacked] == shapes
+        for member, params in enumerate(batch):
+            for part, single in zip(stacked, side_blocks(params)):
+                assert part[member].shape == single.shape
+                assert np.array_equal(part[member], single)
+                assert np.array_equal(
+                    np.signbit(part[member]), np.signbit(single)
+                )
+
+    def test_members_keep_their_own_wavenumber(self):
+        batch = [ProblemParams(a=-10.0, k=1.0, modes_per_side=9),
+                 ProblemParams(a=-10.0, k=0.5, modes_per_side=9)]
+        for member, part in enumerate(zip(*side_blocks(batch))):
+            for values, single in zip(part, side_blocks(batch[member])):
+                assert np.array_equal(values, single)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [],
+            [ProblemParams(a=-10.0, modes_per_side=4),
+             ProblemParams(a=-10.0, modes_per_side=5)],
+        ],
+        ids=["empty", "mixed-J"],
+    )
+    def test_batch_must_share_modes(self, batch):
+        with pytest.raises(ValueError, match="share modes_per_side"):
+            side_blocks(batch)
 
 class TestOverlapIntegral:
     def test_known_values(self):
