@@ -29,7 +29,9 @@ and offset-2 diagonals and the offset-1 block; offset 3 is its
 transpose), each as one array expression over the mode index, and
 over a batch of coefficients that share J when given several:
 both diagonals come from :func:`sum_formula` on the array
-c = pi^2*i^2 - a*k^2.  The transcendental functions there are the
+c = pi^2*i^2 - a*k^2, with the mode index and a*k^2, so that an entry
+within ``NEAR_LEVEL_SWITCH`` of a level splits off its pole at the
+next-side block's rounding.  The transcendental functions there are the
 ``math`` ones mapped over the entries, and the rest is numpy's
 correctly rounded arithmetic in the scalar order, so every entry is
 bit for bit the scalar closed form; numpy's ``tanh``, ``sinh`` and
@@ -76,6 +78,10 @@ from .spectrum import (
 #: sinh overflows near 710 (the entries decay like 1/x).
 LARGE_ARG = 30.0
 
+#: Distance |pi^2*(i^2 + m^2) - a*k^2| of a diagonal entry's nearest
+#: level below which :func:`sum_formula` splits off that level's pole.
+NEAR_LEVEL_SWITCH = 1e-3
+
 def _map(fn, x: np.ndarray) -> np.ndarray:
     # a math function entry by entry, for bit-identity (see sum_formula)
     return np.fromiter(map(fn, x.tolist()), float, x.size)
@@ -93,7 +99,8 @@ def same_side_entry(
     (a, k) raises :class:`ResonanceError` from :class:`ProblemParams`.
     """
     ProblemParams(a=a, k=k, guard=guard)
-    return float(sum_formula("plain", PI2 * i * i - a * k * k))
+    ak2 = a * k * k
+    return float(sum_formula("plain", PI2 * i * i - ak2, i, ak2))
 
 
 def opposite_side_entry(
@@ -108,10 +115,16 @@ def opposite_side_entry(
     """
     ProblemParams(a=a, k=k, guard=guard)
     sign = -1.0 if i % 2 else 1.0
-    return sign * float(sum_formula("alternating", PI2 * i * i - a * k * k))
+    ak2 = a * k * k
+    return sign * float(sum_formula("alternating", PI2 * i * i - ak2, i, ak2))
 
 
-def sum_formula(kind: str, c: float | np.ndarray) -> float | np.ndarray:
+def sum_formula(
+    kind: str,
+    c: float | np.ndarray,
+    index: int | np.ndarray | None = None,
+    ak2: float | np.ndarray | None = None,
+) -> float | np.ndarray:
     """Closed form of the mode series sum_m d_m^2 / (pi^2*m^2 + c).
 
     ``kind="plain"`` sums the series as written: coth(sqrt(c))/sqrt(c)
@@ -132,6 +145,16 @@ def sum_formula(kind: str, c: float | np.ndarray) -> float | np.ndarray:
     This is pure evaluation.  The poles c = 0 and sqrt(-c) in pi*N are
     resonances of the coefficient, which :class:`ProblemParams` has
     already refused; a validated coefficient gives finite values.
+
+    Given the mode index i and a*k^2 (``index`` and ``ak2``, which
+    broadcast to the shape of ``c``), an entry whose nearest level has
+    L = ``PI2 * (i*i + m0*m0) - ak2`` with |L| < ``NEAR_LEVEL_SWITCH``
+    splits off that level's pole d_m0^2 / L ((-1)^m0 * d_m0^2 / L for
+    the alternating kind) and adds the regular rest from a short
+    series.  L is rounded as the next-side block's denominators are, so
+    every block puts the pole at one float; the closed forms put it an
+    ulp or so away, and next to a level that alone can give the
+    difference of two operators negative eigenvalues it does not have.
     """
     if kind not in ("plain", "alternating"):
         raise ValueError(f"kind must be 'plain' or 'alternating', got {kind!r}")
@@ -160,8 +183,46 @@ def sum_formula(kind: str, c: float | np.ndarray) -> float | np.ndarray:
         out[neg] = -_map(math.cos, s) / (sin_s * s)
     else:
         out[neg] = -1.0 / (sin_s * s)
+    out = out.reshape(c.shape)
+    if index is not None:
+        _split_near_level(kind, out, c, index, ak2)
     # [()] turns the 0-d result of a float argument into a scalar
-    return out.reshape(c.shape)[()]
+    return out[()]
+
+
+def _split_near_level(
+    kind: str, out: np.ndarray, c: np.ndarray, index: int | np.ndarray,
+    ak2: float | np.ndarray,
+) -> None:
+    # the nearest level of row i is pi^2*(i^2 + m0^2) with m0 the integer
+    # nearest sqrt(-c)/pi, and m0 = 0 for c >= 0
+    m0 = np.rint(np.sqrt(np.where(c < 0.0, -c, 0.0)) / math.pi)
+    level = PI2 * (np.square(index, dtype=float) + m0 * m0) - ak2
+    near = np.abs(level) < NEAR_LEVEL_SWITCH
+    if not np.count_nonzero(near):
+        return
+    c, m0, level = c[near], m0[near], level[near]
+    upper = m0 >= 1
+    # the regular rest: for m0 = 0 the Taylor series in c of
+    # coth(x)/x - 1/x^2 (csch for the alternating kind), x^2 = c; for
+    # m0 >= 1 the Laurent series of cot (csc) at pi*m0 less the pole,
+    # in t = s - pi*m0 with s^2 = -c
+    s = np.sqrt(-c[upper])
+    t = s - math.pi * m0[upper]
+    t2 = t * t
+    q = 1.0 / (s * (s + math.pi * m0[upper]))
+    if kind == "plain":
+        sign, even = 1.0, (1 / 3, -1 / 45, 2 / 945)
+        odd = (1 / 3, 1 / 45, 2 / 945)
+    else:
+        sign, even = -1.0, (-1 / 6, 7 / 360, -31 / 15120)
+        odd = (1 / 6, 7 / 360, 31 / 15120)
+    rest = even[0] + c * (even[1] + c * even[2])
+    rest[upper] = q + sign * t * (odd[0] + t2 * (odd[1] + t2 * odd[2])) / s
+    value = np.where(upper, 2.0, 1.0) / level + rest
+    if kind == "alternating":
+        value[m0 % 2 == 1] *= -1.0
+    out[near] = value
 
 
 @dataclass(frozen=True)
@@ -238,10 +299,10 @@ def side_blocks(
         np.divide(numerator, region, out=region)
     np.negative(block_next[:, 1::2], out=block_next[:, 1::2])
     c = PI2 * idx * idx - ak2[:, None]
-    same = sum_formula("plain", c)
+    same = sum_formula("plain", c, idx, ak2[:, None])
     # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
     # so a dump never prints "-0"
-    opposite = sign * sum_formula("alternating", c) + 0.0
+    opposite = sign * sum_formula("alternating", c, idx, ak2[:, None]) + 0.0
     if isinstance(params, ProblemParams):
         return same[0], opposite[0], block_next[0]
     return same, opposite, block_next

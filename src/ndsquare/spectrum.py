@@ -27,7 +27,7 @@ side of the window edge.  Where resonance cannot be decided (a
 non-finite input, a float spacing of a*k^2 that reaches the guard, or a
 scan of the levels within the guard that would take more than
 ``RESONANCE_SCAN_STEPS`` lattice steps), ``is_resonant`` raises
-``ValueError``.
+``ValueError``; so does a count of more than that many lattice rows.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ PI2 = math.pi ** 2
 #: treated as resonant.
 DEFAULT_GUARD = 1e-9
 
-#: Most lattice steps one resonance decision may take: each candidate
-#: level n costs the isqrt(n) + 1 steps of :func:`multiplicity`.
+#: Most lattice steps one lattice loop may take: in a resonance decision
+#: each candidate level n costs the isqrt(n) + 1 steps of
+#: :func:`multiplicity`, and a mode count costs one step per row l.
 RESONANCE_SCAN_STEPS = 2 ** 20
 
 
@@ -188,28 +189,27 @@ def _checked_threshold(a: float, k: float, guard: float, label: str) -> float:
     return a * k * k
 
 
-def _modes_strictly_below(l: int, target: float) -> int:
-    """#{m >= 0 : pi^2*(l^2 + m^2) < target} for one fixed l."""
-    rem = target / PI2 - l * l
-    if rem <= 0:
-        return 0
-    m = math.isqrt(int(rem)) + 1
-    # settle the strict comparison exactly at the boundary
-    while m > 0 and PI2 * (l * l + (m - 1) * (m - 1)) >= target:
-        m -= 1
-    while PI2 * (l * l + m * m) < target:
-        m += 1
-    return m
-
-
 def _modes_below(target: float) -> int:
-    """#{(l, m) : l, m >= 0 and pi^2*(l^2 + m^2) < target}."""
+    """#{(l, m) : l, m >= 0 and pi^2*(l^2 + m^2) < target}.
+
+    One settle finds the largest level n = top with ``PI2 * n < target``
+    (``PI2 * n`` never decreases as the integer n grows); the count is
+    then the integer row sum of isqrt(top - l^2) + 1 over l.  More than
+    ``RESONANCE_SCAN_STEPS`` rows (from about 1.09e13) raise ValueError.
+    """
     if target <= 0:
         return 0
-    return sum(
-        _modes_strictly_below(l, target)
-        for l in range(math.isqrt(int(target / PI2)) + 2)
-    )
+    top = int(target / PI2)
+    if math.isqrt(top) >= RESONANCE_SCAN_STEPS:
+        raise ValueError(
+            f"a*k^2 = {target!r}: counting the modes below it takes more "
+            f"than {RESONANCE_SCAN_STEPS} lattice rows"
+        )
+    while PI2 * top >= target:
+        top -= 1
+    while PI2 * (top + 1) < target:
+        top += 1
+    return sum(math.isqrt(top - l * l) + 1 for l in range(math.isqrt(top) + 1))
 
 
 def positive_eigenvalue_count(
@@ -218,8 +218,7 @@ def positive_eigenvalue_count(
     """Number of positive Neumann eigenvalues of Delta + k^2*a.
 
     Equals #{(l, m) : pi^2*(l^2+m^2) < a*k^2}, counted with
-    multiplicity; modes are enumerated per l up to the radius
-    sqrt(a*k^2)/pi.  Raises :class:`ResonanceError` when (a, k) is
+    multiplicity.  Raises :class:`ResonanceError` when (a, k) is
     resonant, since the strict inequality is then meaningless.
     """
     return _modes_below(

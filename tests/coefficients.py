@@ -35,6 +35,16 @@ GUARD_EDGE = st.builds(
     st.integers(min_value=-40, max_value=40),
 )
 
+# Coefficients 10^-u from a level pi^2*(l^2+m^2) with u in [3, 9]:
+# inside the near-level switch of the diagonals, most outside the guard.
+_LEVELS = sorted({l * l + m * m for l in range(8) for m in range(8)})
+CLOSE_TO_LEVEL = st.builds(
+    lambda n, exponent, side: PI2 * n + side * 10.0 ** -exponent,
+    st.sampled_from(_LEVELS),
+    st.floats(min_value=3.0, max_value=9.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+
 #: Coefficients of the figure-1 range together with both kinds above.
 COEFFICIENT = (
     st.floats(min_value=-60.0, max_value=400.0) | NEAR_LEVEL | GUARD_EDGE

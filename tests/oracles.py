@@ -142,6 +142,24 @@ def neumann_eigenvalue(mode: ModeIndex | tuple[int, int]) -> float:
     return PI2 * (l * l + m * m)
 
 
+def lattice_count_below(target: float) -> int:
+    """#{(l, m) : PI2 * (l*l + m*m) < target}, pair by pair.
+
+    The brute-force oracle of the lattice counts: every pair (l, m) in a
+    square a little past the radius sqrt(target)/pi is compared with the
+    target on its own, through the same float level ``PI2 * n``.
+    """
+    if target <= 0:
+        return 0
+    radius = math.isqrt(int(target / PI2)) + 3
+    return sum(
+        1
+        for l in range(radius)
+        for m in range(radius)
+        if PI2 * (l * l + m * m) < target
+    )
+
+
 def construct_even_multiplicity(target: int) -> int:
     """Level n = 5**(target-1) whose multiplicity is exactly ``target``.
 

@@ -12,7 +12,10 @@ ran before resonance was decided once per coefficient by
 ``(pi^2*n)*n`` where ``is_resonant`` computes ``pi^2*(n*n)``, so at the
 guard edge it refuses coefficients that ``is_resonant`` accepts.  The
 diagonal builders therefore evaluate ``closed_form``, the same value
-code without the check.
+code without the check, except for an entry within
+``NEAR_LEVEL_SWITCH`` of its nearest level, which ``near_level_form``
+evaluates one scalar at a time as the package's split into a pole and
+a regular series.
 
 The functions at the end are the earlier forms of the per-point work
 around the eigensolve, kept verbatim as oracles for the current ones:
@@ -27,6 +30,7 @@ import math
 import numpy as np
 
 from ndsquare.cli import TRAJECTORIES_CSV_HEADER
+from ndsquare.nd_matrix import NEAR_LEVEL_SWITCH
 from ndsquare.spectrum import DEFAULT_GUARD, PI2, ResonanceError
 from oracles import normalizer
 
@@ -91,16 +95,53 @@ def sum_formula(kind: str, c: float, guard: float = DEFAULT_GUARD) -> float:
     return closed_form(kind, c)
 
 
+def near_level_form(kind: str, i: int, ak2: float) -> float | None:
+    """The split diagonal entry of row i next to a level, else None.
+
+    The nearest level of the row is pi^2*(i^2 + m0^2); within
+    ``NEAR_LEVEL_SWITCH`` of it the entry is its pole d_m0^2 / L, with L
+    rounded as ``PI2 * (i*i + m0*m0) - ak2``, plus the regular rest:
+    for m0 = 0 a series in c = pi^2*i^2 - ak2, for m0 >= 1 one in
+    t = sqrt(-c) - pi*m0.  The alternating kind carries (-1)^m0.
+    """
+    c = PI2 * i * i - ak2
+    m0 = round(math.sqrt(max(-c, 0.0)) / math.pi)
+    level = PI2 * (i * i + m0 * m0) - ak2
+    if not abs(level) < NEAR_LEVEL_SWITCH:
+        return None
+    plain = kind == "plain"
+    if m0 == 0:
+        if plain:
+            rest = 1 / 3 + c * (-1 / 45 + c * (2 / 945))
+        else:
+            rest = -1 / 6 + c * (7 / 360 - c * (31 / 15120))
+        return 1.0 / level + rest
+    s = math.sqrt(-c)
+    t = s - math.pi * m0
+    t2 = t * t
+    q = 1.0 / (s * (s + math.pi * m0))
+    if plain:
+        odd = t * (1 / 3 + t2 * (1 / 45 + t2 * (2 / 945)))
+        return 2.0 / level + (q + odd / s)
+    odd = t * (1 / 6 + t2 * (7 / 360 + t2 * (31 / 15120)))
+    value = 2.0 / level + (q - odd / s)
+    return -value if m0 % 2 else value
+
+
+def _diagonal_entry(kind: str, i: int, ak2: float) -> float:
+    near = near_level_form(kind, i, ak2)
+    return closed_form(kind, PI2 * i * i - ak2) if near is None else near
+
+
 def same_side_diagonal(a: float, k: float, j_modes: int) -> list[float]:
     """Same-side diagonal entries i < j_modes, one scalar call each."""
-    return [closed_form("plain", PI2 * i * i - a * k * k) for i in range(j_modes)]
+    return [_diagonal_entry("plain", i, a * k * k) for i in range(j_modes)]
 
 
 def opposite_side_diagonal(a: float, k: float, j_modes: int) -> list[float]:
     """Opposite-side diagonal entries i < j_modes, ``+ 0.0`` included."""
     return [
-        (-1.0 if i % 2 else 1.0)
-        * closed_form("alternating", PI2 * i * i - a * k * k)
+        (-1.0 if i % 2 else 1.0) * _diagonal_entry("alternating", i, a * k * k)
         + 0.0
         for i in range(j_modes)
     ]

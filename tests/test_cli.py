@@ -210,6 +210,21 @@ class TestSweepCommand:
         int(fields[1]), int(fields[2])
         float(fields[3]), float(fields[4])
 
+    @pytest.mark.parametrize("size", ["8", "400"])
+    def test_next_to_a_level_measured_stays_within_the_bound(
+        self, capsys, size
+    ):
+        # b = pi^2 - 5e-8; the closed forms once put this level's pole at
+        # three floats, and the row read measured 2 against bound 0
+        code, out, _ = run(
+            capsys, "sweep", "--a", "1", "--b", "9.869604351089357",
+            "--size", size,
+        )
+        assert code == 0
+        fields = out.splitlines()[1].split(",")
+        assert fields[1:3] == ["0", "0"]
+        assert float(fields[3]) > 0
+
     def test_writes_file_and_is_deterministic(self, tmp_path, capsys):
         args = (
             "sweep", "--a", "-10", "--b-min", "-2", "--b-max", "3",
@@ -469,6 +484,9 @@ _UNDECIDABLE = {
     "bound-1e20-guard-1e6": [
         "bound", "--a", "1e20", "--b", "2e20", "--guard", "1e6",
     ],
+    "bound-4e14-guard-1": [
+        "bound", "--a", "-5", "--b", "4e14", "--guard", "1",
+    ],
 }
 
 
@@ -477,8 +495,9 @@ _UNDECIDABLE = {
 )
 def test_undecidable_input_exits_2_within_2_s(capsys, argv):
     # resonance cannot be told apart once the float spacing of a*k^2
-    # reaches the guard, pi^2*10**400 does not fit in a float, and a
-    # guard of 1e6 at 1e20 spans levels too large to scan in time
+    # reaches the guard, pi^2*10**400 does not fit in a float, a guard
+    # of 1e6 at 1e20 spans levels too large to scan in time, and the
+    # modes below 4e14 take more than 2^20 lattice rows to count
     with _time_limit(2.0):
         code, out, err = run(capsys, *argv)
     assert code == 2
@@ -658,6 +677,12 @@ def _argv(draw):
 @example(argv=["assemble-dump", "--a", "0.0", "--k", "1e+308"])
 @example(argv=["bound", "--a", "-10.0", "--b", "15.0", "--guard", "inf"])
 @example(argv=["sweep", "--a", "-10.0", "--b", "15.0", "--guard=inf"])
+@example(argv=[
+    "sweep", "--a", "-1", "--b", "8.7e12", "--b", "8.6e12", "--b", "8.5e12",
+    "--guard", "1e-3", "--size", "8",
+])
+@example(argv=["crossing", "--n", "880000000001", "--guard", "1e-3",
+               "--size", "8"])
 def test_cli_contract(argv):
     # every input ends in 0, 1 (usage) or 2 (one diagnostic line),
     # without a traceback and within 2 s

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ndsquare.experiments import sweep
 from ndsquare.nd_matrix import (
+    NEAR_LEVEL_SWITCH,
     NdMatrix,
     assemble,
     dumps_matrix,
@@ -32,7 +33,12 @@ from ndsquare.spectrum import (
     is_resonant,
     negative_eigenvalue_bound,
 )
-from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE, NEAR_LEVEL
+from coefficients import (
+    CLOSE_TO_LEVEL,
+    COEFFICIENT,
+    GUARD_EDGE_EXAMPLE,
+    NEAR_LEVEL,
+)
 from oracles import (
     assemble_series_oracle,
     max_symmetry_defect,
@@ -308,6 +314,7 @@ class TestSideBlocks:
         assert not report.skipped
         assert math.isfinite(report.min_eigenvalue)
         assert math.isfinite(report.max_eigenvalue)
+        assert report.measured_negative <= report.theoretical_bound
 
     def test_the_per_entry_decider_refused_an_accepted_coefficient(self):
         # the per-entry check rounds the level as (pi^2*5)*5, which puts
@@ -368,6 +375,88 @@ class TestSideBlocks:
     def test_batch_must_share_modes(self, batch):
         with pytest.raises(ValueError, match="share modes_per_side"):
             side_blocks(batch)
+
+
+# (a, b, count, bound, lambda_min) at J = 8: the count, and lambda_min
+# where given, equal those of a 50-digit mpmath evaluation of the same
+# truncated difference; the closed forms once counted 15, 2, 9 and 4
+_NEAR_LEVEL_CASES = [
+    (-10.0, 25 * PI2 - 2e-8, 11, 22, -0.57902),
+    (1.0, PI2 - 5e-8, 0, 0, None),
+    (3.0, 5 * PI2 + 4e-8, 7, 7, None),
+    (-10.0, 2 * PI2 - 4e-8, 3, 3, -0.87404),
+]
+
+
+def _mp_sum_formula(mpmath, kind, c):
+    if c > 0:
+        x = mpmath.sqrt(c)
+        return (mpmath.coth(x) if kind == "plain" else mpmath.csch(x)) / x
+    s = mpmath.sqrt(-c)
+    return -(mpmath.cot(s) if kind == "plain" else mpmath.csc(s)) / s
+
+
+class TestNearLevel:
+    @pytest.mark.parametrize("a,b,count,bound,lambda_min", _NEAR_LEVEL_CASES)
+    def test_counts_equal_the_50_digit_evaluation(
+        self, a, b, count, bound, lambda_min
+    ):
+        (report,) = sweep(a, [b], modes_per_side=8)
+        assert report.measured_negative == count
+        assert report.theoretical_bound == bound
+        if lambda_min is not None:
+            assert report.min_eigenvalue == pytest.approx(
+                lambda_min, abs=1e-5
+            )
+
+    @given(
+        a=st.floats(min_value=-20.0, max_value=60.0) | CLOSE_TO_LEVEL,
+        b=CLOSE_TO_LEVEL,
+        k=st.sampled_from([1.0, 0.5, 2.0]),
+        j_modes=st.sampled_from([1, 2, 3, 8, 16, 24]),
+    )
+    @example(a=1.0, b=PI2 - 5e-8, k=1.0, j_modes=2)
+    @settings(max_examples=80, deadline=None)
+    def test_measured_never_exceeds_the_bound_next_to_a_level(
+        self, a, b, k, j_modes
+    ):
+        a, b = a / (k * k), b / (k * k)
+        assume(a < b and not is_resonant(a, k) and not is_resonant(b, k))
+        (report,) = sweep(a, [b], k, modes_per_side=j_modes)
+        assert report.measured_negative <= report.theoretical_bound
+
+    @given(
+        i=st.integers(min_value=0, max_value=40),
+        m0=st.integers(min_value=0, max_value=60),
+        exponent=st.floats(min_value=3.0, max_value=8.5),
+        side=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_split_entries_equal_the_50_digit_values(
+        self, i, m0, exponent, side
+    ):
+        # the pole d_m0^2 / L at the next-side rounding of L, plus the
+        # regular rest of the 50-digit closed form less its exact pole
+        mpmath = pytest.importorskip("mpmath")
+        ak2 = PI2 * (i * i + m0 * m0) + side * 10.0 ** -exponent
+        level = PI2 * (i * i + m0 * m0) - ak2
+        assume(abs(level) < NEAR_LEVEL_SWITCH and not is_resonant(ak2, 1.0))
+        d2 = 1 if m0 == 0 else 2
+        with mpmath.workdps(50):
+            c = mpmath.pi ** 2 * i * i - mpmath.mpf(ak2)
+            exact_level = mpmath.pi ** 2 * (i * i + m0 * m0) - mpmath.mpf(ak2)
+            # opposite_side_entry carries (-1)^i, the pole (-1)^m0
+            for kind, entry, sign in (
+                ("plain", same_side_entry(i, ak2), 1),
+                ("alternating", (-1) ** i * opposite_side_entry(i, ak2),
+                 (-1) ** m0),
+            ):
+                pole = sign * d2 / exact_level
+                rest = _mp_sum_formula(mpmath, kind, c) - pole
+                expected = sign * d2 / mpmath.mpf(level) + rest
+                error = abs(mpmath.mpf(entry) - expected)
+                assert error <= 4 * math.ulp(entry) + 1e-10 * abs(rest)
+
 
 class TestOverlapIntegral:
     def test_known_values(self):

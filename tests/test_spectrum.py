@@ -4,7 +4,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndsquare import spectrum
@@ -17,7 +17,11 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
     positive_eigenvalue_count,
 )
-from oracles import construct_even_multiplicity, neumann_eigenvalue
+from oracles import (
+    construct_even_multiplicity,
+    lattice_count_below,
+    neumann_eigenvalue,
+)
 
 PI2 = math.pi ** 2
 
@@ -163,6 +167,54 @@ class TestPositiveEigenvalueCount:
             assert positive_eigenvalue_count(a, 1.0) == brute, a
 
 
+def _around_level(n: int, side: int) -> float:
+    # the level PI2*n, or the float next to it on the given side
+    target = PI2 * n
+    return math.nextafter(target, side * math.inf) if side else target
+
+
+# targets in [-50, 1e6], on a level PI2*n (n <= 1e6/PI2) and one ulp
+# either side of it, and tiny positive ones
+_LATTICE_TARGET = (
+    st.floats(min_value=-50.0, max_value=1e6)
+    | st.builds(
+        _around_level, st.integers(0, 101_000), st.sampled_from([-1, 0, 1])
+    )
+    | st.floats(min_value=5e-324, max_value=1e-300)
+)
+
+
+class TestModesBelow:
+    @given(target=_LATTICE_TARGET)
+    @example(target=5e-324)  # the (0, 0) mode at level 0 lies below it
+    @example(target=_around_level(625, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_brute_force_oracle(self, target):
+        assert spectrum._modes_below(target) == lattice_count_below(target)
+
+    def test_one_ulp_past_a_level_counts_that_level(self):
+        # a settle per row once gave 515 here: on the row l = 25,
+        # target/PI2 - l^2 rounds to 0, so the row lost its mode (25, 0)
+        target = math.nextafter(PI2 * 625, math.inf)
+        assert spectrum._modes_below(target) == 516
+        assert lattice_count_below(target) == 516
+
+    def test_row_budget(self, monkeypatch):
+        # more than RESONANCE_SCAN_STEPS rows are refused, before the
+        # first row, from about 1.09e13
+        limit = f"more than {spectrum.RESONANCE_SCAN_STEPS} lattice rows"
+        with pytest.raises(ValueError, match=limit):
+            spectrum._modes_below(1.09e13)
+        with pytest.raises(ValueError, match=limit):
+            spectrum._modes_below(1e300)
+        # at a budget of 100 rows, 100 rows answer and 101 raise
+        monkeypatch.setattr(spectrum, "RESONANCE_SCAN_STEPS", 100)
+        last = PI2 * (100 * 100 - 1) + 1.0
+        assert spectrum._modes_below(last) == lattice_count_below(last)
+        with pytest.raises(ValueError, match="more than 100 lattice rows"):
+            spectrum._modes_below(PI2 * 100 * 100 + 1.0)
+
+
 class TestNegativeEigenvalueBound:
     @pytest.mark.parametrize(
         "a,b,expected", [(-10.0, 5.0, 1), (-10.0, 15.0, 3), (10.0, 10.5, 0)]
@@ -204,6 +256,20 @@ class TestNegativeEigenvalueBound:
             if lo < PI2 * n < hi
         )
         assert bound >= 0
+
+    @given(
+        a=st.floats(min_value=-50.0, max_value=2e4),
+        b=st.floats(min_value=-50.0, max_value=2e4),
+        k=st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+    )
+    @example(a=-10.0, b=1e6, k=1.0)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_brute_force_oracle(self, a, b, k):
+        if not a < b or is_resonant(a, k) or is_resonant(b, k):
+            return
+        assert negative_eigenvalue_bound(a, b, k) == lattice_count_below(
+            b * k * k
+        ) - lattice_count_below(a * k * k)
 
 
 class TestConstructEvenMultiplicity:
