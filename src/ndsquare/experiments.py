@@ -189,15 +189,18 @@ def sweep(
     b must satisfy b >= a; resonant b values produce skipped reports.
     A resonant a is an error (the whole sweep would be meaningless).
 
-    Resonance is decided once per coefficient, for a and every b
-    before the first eigensolve.  The bound of a window with validated
-    ends is then the difference of the two lattice counts of
-    ``negative_eigenvalue_bound``, 0 for b == a.
+    Resonance is decided once per coefficient, for a and every b, and
+    then every b's lattice count is taken, all before the first
+    eigensolve: a b past the decidability limit or past the row budget
+    of the count raises ValueError before any matrix is solved.  The
+    bound of a window with validated ends is the difference of the two
+    lattice counts of ``negative_eigenvalue_bound``, 0 for b == a.
     """
     reports: list[BoundReport] = []
     spectra = difference_spectra(a, b_values, k, modes_per_side, guard)
     modes_below_a = _modes_below(a * k * k)
-    for b, eigs in spectra:
+    bounds = [_modes_below(b * k * k) - modes_below_a for b in b_values]
+    for (b, eigs), bound in zip(spectra, bounds):
         if eigs is None:
             reports.append(
                 BoundReport(
@@ -213,7 +216,7 @@ def sweep(
                 a=a, b=b, k=k, modes_per_side=modes_per_side, delta=delta,
                 skipped=False,
                 measured_negative=count_negative(eigs, delta),
-                theoretical_bound=_modes_below(b * k * k) - modes_below_a,
+                theoretical_bound=bound,
                 min_eigenvalue=float(eigs[-1]),
                 max_eigenvalue=float(eigs[0]),
             )

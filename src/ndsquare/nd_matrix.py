@@ -28,21 +28,20 @@ symmetric matrix of size 4*modes_per_side.
 and offset-2 diagonals and the offset-1 block; offset 3 is its
 transpose), each as one array expression over the mode index, and
 over a batch of coefficients that share J when given several:
-both diagonals come from :func:`sum_formula` on the array
-c = pi^2*i^2 - a*k^2, with the mode index and a*k^2, so that an entry
-within ``NEAR_LEVEL_SWITCH`` of a level splits off its pole at the
-next-side block's rounding.  The transcendental functions there are the
-``math`` ones mapped over the entries, and the rest is numpy's
-correctly rounded arithmetic in the scalar order, so every entry is
-bit for bit the scalar closed form; numpy's ``tanh``, ``sinh`` and
-``exp`` differ from ``math`` in the last bit on some inputs and would
-change the dumped bytes.  ``same_side_entry`` and
-``opposite_side_entry`` are :func:`sum_formula` at one mode.  The
-experiments and the truncation estimators never form the dense matrix:
-:func:`~ndsquare.linalg.circulant_spectrum` splits the block-circulant
-operator by the square's symmetry and the sign (-1)^i of the offset-1
-block into four real symmetric eigenproblems of order about J/2 and one
-of order J, all read off that block's parity blocks.
+both diagonals come from one pass of :func:`sum_formula` over the mode
+index and a*k^2, in which an entry within ``NEAR_LEVEL_SWITCH`` of a
+level splits off its pole at the next-side block's rounding.  The
+transcendental functions there are the ``math`` ones mapped over the
+entries, and the rest is numpy's correctly rounded arithmetic in the
+scalar order, so every entry is bit for bit the scalar closed form;
+numpy's ``tanh``, ``sinh`` and ``exp`` differ from ``math`` in the last
+bit on some inputs and would change the dumped bytes.
+``same_side_entry`` and ``opposite_side_entry`` are :func:`sum_formula`
+at one mode.  The experiments and the truncation estimators never form
+the dense matrix: :func:`~ndsquare.linalg.circulant_spectrum` splits the
+block-circulant operator by the square's symmetry and the sign (-1)^i
+of the offset-1 block into four real symmetric eigenproblems of order
+about J/2 and one of order J, all read off that block's parity blocks.
 ``assemble`` interleaves the same blocks into the dense matrix, which
 remains the test oracle for that solver and the content of the dump.
 The closed forms themselves are checked against a truncation of the
@@ -82,6 +81,7 @@ LARGE_ARG = 30.0
 #: level below which :func:`sum_formula` splits off that level's pole.
 NEAR_LEVEL_SWITCH = 1e-3
 
+
 def _map(fn, x: np.ndarray) -> np.ndarray:
     # a math function entry by entry, for bit-identity (see sum_formula)
     return np.fromiter(map(fn, x.tolist()), float, x.size)
@@ -99,8 +99,7 @@ def same_side_entry(
     (a, k) raises :class:`ResonanceError` from :class:`ProblemParams`.
     """
     ProblemParams(a=a, k=k, guard=guard)
-    ak2 = a * k * k
-    return float(sum_formula("plain", PI2 * i * i - ak2, i, ak2))
+    return float(sum_formula("plain", i, a * k * k))
 
 
 def opposite_side_entry(
@@ -115,114 +114,124 @@ def opposite_side_entry(
     """
     ProblemParams(a=a, k=k, guard=guard)
     sign = -1.0 if i % 2 else 1.0
-    ak2 = a * k * k
-    return sign * float(sum_formula("alternating", PI2 * i * i - ak2, i, ak2))
+    return sign * float(sum_formula("alternating", i, a * k * k))
 
 
 def sum_formula(
-    kind: str,
-    c: float | np.ndarray,
-    index: int | np.ndarray | None = None,
-    ak2: float | np.ndarray | None = None,
+    kind: str, index: int | np.ndarray, ak2: float | np.ndarray
 ) -> float | np.ndarray:
-    """Closed form of the mode series sum_m d_m^2 / (pi^2*m^2 + c).
+    """Mode series sum_m d_m^2 / (pi^2*m^2 + c) at c = pi^2*i^2 - a*k^2.
+
+    ``index`` is the mode index i and ``ak2`` is a*k^2; they are
+    numbers or arrays that broadcast together, c is formed as
+    ``PI2 * index * index - ak2``, and the result has its shape (a
+    float64 scalar for two numbers).  Index 0 with ``ak2 = -c`` gives
+    the series at any c.
 
     ``kind="plain"`` sums the series as written: coth(sqrt(c))/sqrt(c)
     for c > 0 and -cot(sqrt(-c))/sqrt(-c) for c < 0.
     ``kind="alternating"`` inserts a factor (-1)^m: csch(sqrt(c))/sqrt(c)
     for c > 0 and -csc(sqrt(-c))/sqrt(-c) for c < 0.
 
-    ``c`` is a float or an array; the result has its shape (a float64
-    scalar for a float).  The transcendental functions are Python's
-    ``math`` functions mapped over the entries, and the square roots
-    and the remaining products and quotients are numpy's, taken in the
-    scalar order ``1/(tanh(x)*x)``, ``2*exp(-x)/x``, ``-cos(s)/(sin(s)*s)``.
-    IEEE arithmetic and ``sqrt`` are correctly rounded, so every entry
-    is bit for bit the scalar closed form; numpy's own ``tanh``,
-    ``sinh`` and ``exp`` are not used because they differ from
-    ``math`` in the last bit on some inputs.
+    The transcendental functions are Python's ``math`` functions mapped
+    over the entries, and the square roots and the remaining products
+    and quotients are numpy's, taken in the scalar order
+    ``1/(tanh(x)*x)``, ``2*exp(-x)/x``, ``-cos(s)/(sin(s)*s)``.  IEEE
+    arithmetic and ``sqrt`` are correctly rounded, so every entry is
+    bit for bit the scalar closed form; numpy's own ``tanh``, ``sinh``
+    and ``exp`` are not used because they differ from ``math`` in the
+    last bit on some inputs.
+
+    An entry whose nearest level has L = ``PI2 * (i*i + m0*m0) - ak2``
+    with |L| < ``NEAR_LEVEL_SWITCH`` is instead that level's pole
+    d_m0^2 / L ((-1)^m0 * d_m0^2 / L for the alternating kind) plus the
+    regular rest from a short series.  L is rounded as the next-side
+    block's denominators are, so every block puts the pole at one
+    float; the closed forms put it an ulp or so away, and next to a
+    level that alone can give the difference of two operators negative
+    eigenvalues it does not have.
 
     This is pure evaluation.  The poles c = 0 and sqrt(-c) in pi*N are
     resonances of the coefficient, which :class:`ProblemParams` has
     already refused; a validated coefficient gives finite values.
-
-    Given the mode index i and a*k^2 (``index`` and ``ak2``, which
-    broadcast to the shape of ``c``), an entry whose nearest level has
-    L = ``PI2 * (i*i + m0*m0) - ak2`` with |L| < ``NEAR_LEVEL_SWITCH``
-    splits off that level's pole d_m0^2 / L ((-1)^m0 * d_m0^2 / L for
-    the alternating kind) and adds the regular rest from a short
-    series.  L is rounded as the next-side block's denominators are, so
-    every block puts the pole at one float; the closed forms put it an
-    ulp or so away, and next to a level that alone can give the
-    difference of two operators negative eigenvalues it does not have.
     """
     if kind not in ("plain", "alternating"):
         raise ValueError(f"kind must be 'plain' or 'alternating', got {kind!r}")
-    c = np.asarray(c, dtype=float)
+    plain, alternating = _sum_formulas(index, ak2)
+    # [()] turns the 0-d result of two numbers into a scalar
+    return (plain if kind == "plain" else alternating)[()]
+
+
+def _sum_formulas(
+    index: int | np.ndarray, ak2: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # both kinds of sum_formula in one pass: they share the square
+    # roots, the sines and the near-level split
+    c = np.asarray(PI2 * index * index - ak2, dtype=float)
     flat = c.ravel()
-    out = np.empty_like(flat)
+    plain = np.empty_like(flat)
+    alternating = np.empty_like(flat)
     pos = flat > 0
     x = np.sqrt(flat[pos])
-    if kind == "plain":
-        # tanh(x) rounds to 1.0 from about x = 19 on, so this is 1/x
-        # there bit for bit and needs no large-x form
-        out[pos] = 1.0 / (_map(math.tanh, x) * x)
-    else:
-        # csch(x)/x as 2*exp(-x)/x past LARGE_ARG, where sinh would
-        # overflow; it underflows harmlessly to 0 for very large x
-        large = x > LARGE_ARG
-        small = ~large
-        csch = np.empty_like(x)
-        csch[small] = 1.0 / (_map(math.sinh, x[small]) * x[small])
-        csch[large] = 2.0 * _map(math.exp, -x[large]) / x[large]
-        out[pos] = csch
+    # tanh(x) rounds to 1.0 from about x = 19 on, so this is 1/x there
+    # bit for bit and needs no large-x form
+    plain[pos] = 1.0 / (_map(math.tanh, x) * x)
+    # csch(x)/x as 2*exp(-x)/x past LARGE_ARG, where sinh would
+    # overflow; it underflows harmlessly to 0 for very large x
+    large = x > LARGE_ARG
+    small = ~large
+    csch = np.empty_like(x)
+    csch[small] = 1.0 / (_map(math.sinh, x[small]) * x[small])
+    csch[large] = 2.0 * _map(math.exp, -x[large]) / x[large]
+    alternating[pos] = csch
     neg = ~pos
     s = np.sqrt(-flat[neg])
-    sin_s = _map(math.sin, s)
-    if kind == "plain":
-        out[neg] = -_map(math.cos, s) / (sin_s * s)
-    else:
-        out[neg] = -1.0 / (sin_s * s)
-    out = out.reshape(c.shape)
-    if index is not None:
-        _split_near_level(kind, out, c, index, ak2)
-    # [()] turns the 0-d result of a float argument into a scalar
-    return out[()]
-
-
-def _split_near_level(
-    kind: str, out: np.ndarray, c: np.ndarray, index: int | np.ndarray,
-    ak2: float | np.ndarray,
-) -> None:
+    sin_times_s = _map(math.sin, s) * s
+    plain[neg] = -_map(math.cos, s) / sin_times_s
+    alternating[neg] = -1.0 / sin_times_s
+    plain = plain.reshape(c.shape)
+    alternating = alternating.reshape(c.shape)
     # the nearest level of row i is pi^2*(i^2 + m0^2) with m0 the integer
     # nearest sqrt(-c)/pi, and m0 = 0 for c >= 0
     m0 = np.rint(np.sqrt(np.where(c < 0.0, -c, 0.0)) / math.pi)
     level = PI2 * (np.square(index, dtype=float) + m0 * m0) - ak2
     near = np.abs(level) < NEAR_LEVEL_SWITCH
-    if not np.count_nonzero(near):
-        return
-    c, m0, level = c[near], m0[near], level[near]
+    if np.count_nonzero(near):
+        m0 = m0[near]
+        pole = np.where(m0 >= 1, 2.0, 1.0) / level[near]
+        rest_plain, rest_alternating = _regular_rests(c[near], m0)
+        plain[near] = pole + rest_plain
+        alternating[near] = (
+            np.where(m0 % 2 == 1, -pole, pole) + rest_alternating
+        )
+    return plain, alternating
+
+
+def _regular_rests(c: np.ndarray, m0: np.ndarray) -> list[np.ndarray]:
+    """The plain and alternating series at c less their m = m0 term.
+
+    For c next to -pi^2*m0^2.  For m0 = 0 these are the Taylor series
+    in c of coth(x)/x - 1/x^2 and csch(x)/x - 1/x^2, x^2 = c; for
+    m0 >= 1 the Laurent series of -cot(s)/s and -csc(s)/s at pi*m0 less
+    the pole, in t = s - pi*m0 with s^2 = -c.  The alternating rest
+    carries the sign (-1)^m0 of its series.
+    """
     upper = m0 >= 1
-    # the regular rest: for m0 = 0 the Taylor series in c of
-    # coth(x)/x - 1/x^2 (csch for the alternating kind), x^2 = c; for
-    # m0 >= 1 the Laurent series of cot (csc) at pi*m0 less the pole,
-    # in t = s - pi*m0 with s^2 = -c
     s = np.sqrt(-c[upper])
     t = s - math.pi * m0[upper]
     t2 = t * t
     q = 1.0 / (s * (s + math.pi * m0[upper]))
-    if kind == "plain":
-        sign, even = 1.0, (1 / 3, -1 / 45, 2 / 945)
-        odd = (1 / 3, 1 / 45, 2 / 945)
-    else:
-        sign, even = -1.0, (-1 / 6, 7 / 360, -31 / 15120)
-        odd = (1 / 6, 7 / 360, 31 / 15120)
-    rest = even[0] + c * (even[1] + c * even[2])
-    rest[upper] = q + sign * t * (odd[0] + t2 * (odd[1] + t2 * odd[2])) / s
-    value = np.where(upper, 2.0, 1.0) / level + rest
-    if kind == "alternating":
-        value[m0 % 2 == 1] *= -1.0
-    out[near] = value
+    rests = []
+    for sign, even, odd in (
+        (1.0, (1 / 3, -1 / 45, 2 / 945), (1 / 3, 1 / 45, 2 / 945)),
+        (-1.0, (-1 / 6, 7 / 360, -31 / 15120), (1 / 6, 7 / 360, 31 / 15120)),
+    ):
+        rest = even[0] + c * (even[1] + c * even[2])
+        series = odd[0] + t2 * (odd[1] + t2 * odd[2])
+        rest[upper] = q + sign * t * series / s
+        rests.append(rest)
+    rests[1][m0 % 2 == 1] *= -1.0
+    return rests
 
 
 @dataclass(frozen=True)
@@ -298,11 +307,10 @@ def side_blocks(
     ):
         np.divide(numerator, region, out=region)
     np.negative(block_next[:, 1::2], out=block_next[:, 1::2])
-    c = PI2 * idx * idx - ak2[:, None]
-    same = sum_formula("plain", c, idx, ak2[:, None])
+    same, opposite = _sum_formulas(idx, ak2[:, None])
     # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
     # so a dump never prints "-0"
-    opposite = sign * sum_formula("alternating", c, idx, ak2[:, None]) + 0.0
+    opposite = sign * opposite + 0.0
     if isinstance(params, ProblemParams):
         return same[0], opposite[0], block_next[0]
     return same, opposite, block_next

@@ -210,8 +210,8 @@ def test_criterion_6_symmetry_and_sum_formulas():
             (-1.0) ** m * normalizer(m) ** 2 / (PI2 * m * m + c)
             for m in range(terms + 1)
         )
-        err_plain = abs(plain - sum_formula("plain", c))
-        err_alt = abs(alternating - sum_formula("alternating", c))
+        err_plain = abs(plain - sum_formula("plain", 0, -c))
+        err_alt = abs(alternating - sum_formula("alternating", 0, -c))
         series_ok &= err_plain <= 1e-4 and err_alt <= 1e-4
         details.append(f"c={c}: plain {err_plain:.2e}, alternating {err_alt:.2e}")
 

@@ -506,25 +506,40 @@ def test_undecidable_input_exits_2_within_2_s(capsys, argv):
     assert err.count("\n") == 1
 
 
+_UNDECIDABLE_B = {
+    "sweep": ("sweep", ["--b", "1e300"], "decidability limit"),
+    "trajectories": ("trajectories", ["--b", "1e300"], "decidability limit"),
+    # is_resonant decides 4e14 at guard 1, but the modes below it take
+    # more than 2^20 lattice rows to count
+    "sweep-4e14-guard-1": (
+        "sweep", ["--b", "4e14", "--guard", "1"], "lattice rows",
+    ),
+}
+
+
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-@pytest.mark.parametrize("command", ["sweep", "trajectories"])
+@pytest.mark.parametrize(
+    "case", _UNDECIDABLE_B.values(), ids=_UNDECIDABLE_B.keys()
+)
 def test_undecidable_b_fails_before_any_output_or_eigensolve(
-    tmp_path, capsys, monkeypatch, command, to_file
+    tmp_path, capsys, monkeypatch, case, to_file
 ):
-    # every b is decided before the first eigensolve and the first byte
+    # every b is decided, and for sweep counted, before the first
+    # eigensolve and the first byte
     def refuse(*blocks):
         raise AssertionError("circulant_spectrum was called")
 
     monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+    command, undecidable, message = case
     path = tmp_path / "out.csv"
-    argv = [command, "--a", "-10", "--b", "5", "--b", "1e300", "--size", "8"]
+    argv = [command, "--a", "-10", "--b", "5", *undecidable, "--size", "8"]
     if to_file:
         argv += ["--out", str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"ndsquare {command}:")
-    assert "decidability limit" in err
+    assert message in err
     assert err.count("\n") == 1
     assert not path.exists()
 

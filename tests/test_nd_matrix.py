@@ -24,6 +24,7 @@ from ndsquare.nd_matrix import (
     opposite_side_entry,
     same_side_entry,
     side_blocks,
+    _regular_rests,
     sum_formula,
 )
 from ndsquare.spectrum import (
@@ -181,14 +182,16 @@ class TestAdjacentEntries:
 
 class TestSumFormula:
     def test_closed_forms(self):
-        assert sum_formula("plain", 1.0) == pytest.approx(COTH_1, rel=1e-14)
-        assert sum_formula("alternating", 1.0) == pytest.approx(
+        assert sum_formula("plain", 0, -1.0) == pytest.approx(
+            COTH_1, rel=1e-14
+        )
+        assert sum_formula("alternating", 0, -1.0) == pytest.approx(
             CSCH_1, rel=1e-14
         )
-        assert sum_formula("plain", -1.0) == pytest.approx(
+        assert sum_formula("plain", 0, 1.0) == pytest.approx(
             NEG_COT_1, rel=1e-14
         )
-        assert sum_formula("alternating", -1.0) == pytest.approx(
+        assert sum_formula("alternating", 0, 1.0) == pytest.approx(
             NEG_CSC_1, rel=1e-14
         )
 
@@ -207,13 +210,13 @@ class TestSumFormula:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            sum_formula("weighted", 1.0)
+            sum_formula("weighted", 0, -1.0)
 
     @pytest.mark.parametrize("c", [400.0, 900.0, 1e4, 1e150, 1e300])
     def test_plain_form_is_one_over_root_for_large_c(self, c):
         # tanh rounds to 1.0 from about 19, so coth(x)/x needs no
         # large-argument form: it is 1/x bit for bit
-        assert sum_formula("plain", c) == 1.0 / math.sqrt(c)
+        assert sum_formula("plain", 0, -c) == 1.0 / math.sqrt(c)
 
     @pytest.mark.parametrize("c", [1.0, 5.0, -1.0])
     @pytest.mark.parametrize("terms", [1_000, 10_000, 100_000])
@@ -221,7 +224,9 @@ class TestSumFormula:
         partial = math.fsum(
             normalizer(m) ** 2 / (PI2 * m * m + c) for m in range(terms + 1)
         )
-        assert abs(partial - sum_formula("plain", c)) <= 4.0 / (PI2 * terms)
+        assert abs(partial - sum_formula("plain", 0, -c)) <= 4.0 / (
+            PI2 * terms
+        )
 
     @pytest.mark.parametrize("c", [1.0, 5.0, -1.0])
     @pytest.mark.parametrize("terms", [1_000, 10_000, 100_000])
@@ -230,7 +235,7 @@ class TestSumFormula:
             (-1.0) ** m * normalizer(m) ** 2 / (PI2 * m * m + c)
             for m in range(terms + 1)
         )
-        assert abs(partial - sum_formula("alternating", c)) <= 4.0 / (
+        assert abs(partial - sum_formula("alternating", 0, -c)) <= 4.0 / (
             PI2 * terms
         )
 
@@ -238,10 +243,10 @@ class TestSumFormula:
     def test_array_argument_keeps_shape_and_values(self):
         c = np.array([[1.0, -1.0], [400.0, -0.5 * PI2]])
         for kind in ("plain", "alternating"):
-            values = sum_formula(kind, c)
+            values = sum_formula(kind, 0, -c)
             assert values.shape == (2, 2)
             for index, entry in np.ndenumerate(c):
-                assert values[index] == sum_formula(kind, float(entry))
+                assert values[index] == sum_formula(kind, 0, -float(entry))
 
 
 _WAVENUMBER = st.floats(min_value=0.5, max_value=2.0) | st.just(1.0)
@@ -457,6 +462,40 @@ class TestNearLevel:
                 error = abs(mpmath.mpf(entry) - expected)
                 assert error <= 4 * math.ulp(entry) + 1e-10 * abs(rest)
 
+
+    @given(
+        m0=st.integers(min_value=0, max_value=30),
+        position=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @example(m0=0, position=1.0)
+    @example(m0=1, position=-1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_regular_rests_equal_long_partial_sums(self, m0, position):
+        # numpy only: the series less its m0 term, summed over m <= N
+        # with the Euler-Maclaurin tail of the plain series and the
+        # mean of two partial sums of the alternating one (both tails
+        # within 1e-13).  Past the switch for m0 >= 1, so that every
+        # kept term of the t series is larger than the tolerance.
+        width = NEAR_LEVEL_SWITCH if m0 == 0 else 0.3
+        c = -PI2 * m0 * m0 + width * position
+        plain, alternating = _regular_rests(
+            np.array([c]), np.array([float(m0)])
+        )
+        n_terms = 20_000
+        m = np.arange(n_terms + 2, dtype=float)
+        denominators = PI2 * m * m + c
+        denominators[m0] = math.inf
+        terms = np.where(m == 0, 1.0, 2.0) / denominators
+        signed = np.where(m % 2 == 0, terms, -terms)
+        gamma = c / PI2
+        tail = (2.0 / PI2) * (
+            1.0 / n_terms - 1.0 / (2.0 * n_terms**2)
+            + (1.0 - 2.0 * gamma) / (6.0 * n_terms**3)
+        )
+        plain_sum = math.fsum(terms[: n_terms + 1]) + tail
+        alternating_sum = math.fsum(signed[: n_terms + 1]) + 0.5 * signed[-1]
+        assert abs(plain[0] - plain_sum) <= 1e-12
+        assert abs(alternating[0] - alternating_sum) <= 1e-12
 
 class TestOverlapIntegral:
     def test_known_values(self):
