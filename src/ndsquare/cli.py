@@ -333,7 +333,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return _COMMANDS[args.command](args.parser, args)
-    except (ValueError, OSError) as exc:  # ResonanceError is a ValueError
+    # ResonanceError is a ValueError; MemoryError is a --size too large
+    # to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"ndsquare {args.command}: {exc}\n")
         return 2
 

@@ -112,10 +112,6 @@ class CrossingReport:
     attempts: tuple[CrossingAttempt, ...]
 
     @property
-    def eps(self) -> float:
-        return self.attempts[-1].eps
-
-    @property
     def measured(self) -> int:
         return self.attempts[-1].measured
 
@@ -317,22 +313,12 @@ def verify_crossing(
             f"shrink eps"
         )
 
-    attempts = [
-        CrossingAttempt(
-            eps=eps,
-            measured=_measure_crossing(c, eps, k, modes_per_side, delta, guard),
-        )
-    ]
-    if attempts[0].measured != expected:
-        half = eps / 2.0
-        attempts.append(
-            CrossingAttempt(
-                eps=half,
-                measured=_measure_crossing(
-                    c, half, k, modes_per_side, delta, guard
-                ),
-            )
-        )
+    attempts = []
+    for width in (eps, eps / 2.0):
+        measured = _measure_crossing(c, width, k, modes_per_side, delta, guard)
+        attempts.append(CrossingAttempt(eps=width, measured=measured))
+        if measured == expected:
+            break
     return CrossingReport(
         n=n, k=k, modes_per_side=modes_per_side, delta=delta,
         expected=expected, attempts=tuple(attempts),

@@ -16,8 +16,8 @@ the offset (r - p) mod 4,
     offset 2 -> opposite side   (diagonal in i, j; csch/csc kernel)
     offset 3 -> previous side   (full block, sign (-1)^j)
 
-The offset-0 and offset-2 kernels are ``same_side_entry`` and
-``opposite_side_entry``; the offset-1 entry is
+The offset-0 and offset-2 diagonals are ``side_diagonals``, the
+opposite-side sign (-1)^i included; the offset-1 entry is
 (-1)^i * d_i * d_j / (pi^2*(i^2+j^2) - a*k^2), with the cosine
 normalizers d_0 = 1 and d_j = sqrt(2) for j >= 1, and offset 3 is its
 transpose.  All entries are exact values of the infinite matrix;
@@ -27,17 +27,11 @@ symmetric matrix of size 4*modes_per_side.
 ``side_blocks`` evaluates the three distinct blocks once (the offset-0
 and offset-2 diagonals and the offset-1 block; offset 3 is its
 transpose), each as one array expression over the mode index, and
-over a batch of coefficients that share J when given several:
-both diagonals come from one pass of :func:`sum_formula` over the mode
-index and a*k^2, in which an entry within ``NEAR_LEVEL_SWITCH`` of a
-level splits off its pole at the next-side block's rounding.  The
-transcendental functions there are the ``math`` ones mapped over the
-entries, and the rest is numpy's correctly rounded arithmetic in the
-scalar order, so every entry is bit for bit the scalar closed form;
-numpy's ``tanh``, ``sinh`` and ``exp`` differ from ``math`` in the last
-bit on some inputs and would change the dumped bytes.
-``same_side_entry`` and ``opposite_side_entry`` are :func:`sum_formula`
-at one mode.  The experiments and the truncation estimators never form
+over a batch of coefficients that share J when given several.  Both
+diagonals come from one pass of :func:`side_diagonals`, bit for bit
+the scalar closed forms, and ``same_side_entry`` and
+``opposite_side_entry`` are that pass at one mode of a validated
+coefficient.  The experiments and the truncation estimators never form
 the dense matrix: :func:`~ndsquare.linalg.circulant_spectrum` splits the
 block-circulant operator by the square's symmetry and the sign (-1)^i
 of the offset-1 block into four real symmetric eigenproblems of order
@@ -78,12 +72,12 @@ from .spectrum import (
 LARGE_ARG = 30.0
 
 #: Distance |pi^2*(i^2 + m^2) - a*k^2| of a diagonal entry's nearest
-#: level below which :func:`sum_formula` splits off that level's pole.
+#: level below which :func:`side_diagonals` splits off that level's pole.
 NEAR_LEVEL_SWITCH = 1e-3
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
-    # a math function entry by entry, for bit-identity (see sum_formula)
+    # a math function entry by entry, for bit-identity (see side_diagonals)
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
@@ -92,14 +86,12 @@ def same_side_entry(
 ) -> float:
     """Diagonal entry coupling boundary mode i of a side to itself.
 
-    Returns coth(s)/s with s = sqrt(pi^2*i^2 - a*k^2) when
-    pi^2*i^2 > a*k^2, and -cot(s)/s with s = sqrt(a*k^2 - pi^2*i^2)
-    otherwise: the plain :func:`sum_formula` at c = pi^2*i^2 - a*k^2.
-    The branch point and the cot poles are resonances, so a resonant
-    (a, k) raises :class:`ResonanceError` from :class:`ProblemParams`.
+    ``side_diagonals(i, a*k*k)[0]`` for a validated coefficient: a
+    resonant (a, k) raises :class:`ResonanceError` from
+    :class:`ProblemParams`.
     """
     ProblemParams(a=a, k=k, guard=guard)
-    return float(sum_formula("plain", i, a * k * k))
+    return float(side_diagonals(i, a * k * k)[0])
 
 
 def opposite_side_entry(
@@ -107,31 +99,29 @@ def opposite_side_entry(
 ) -> float:
     """Diagonal entry coupling boundary mode i of a side to the opposite side.
 
-    Returns (-1)^i * csch(s)/s for pi^2*i^2 > a*k^2 and
-    -(-1)^i * csc(s)/s for pi^2*i^2 < a*k^2, s as in
-    :func:`same_side_entry`: (-1)^i times the alternating
-    :func:`sum_formula`.  A resonant (a, k) raises as there.
+    ``side_diagonals(i, a*k*k)[1]`` for a validated coefficient, the
+    sign (-1)^i included; a resonant (a, k) raises as in
+    :func:`same_side_entry`.
     """
     ProblemParams(a=a, k=k, guard=guard)
-    sign = -1.0 if i % 2 else 1.0
-    return sign * float(sum_formula("alternating", i, a * k * k))
+    return float(side_diagonals(i, a * k * k)[1])
 
 
-def sum_formula(
-    kind: str, index: int | np.ndarray, ak2: float | np.ndarray
-) -> float | np.ndarray:
-    """Mode series sum_m d_m^2 / (pi^2*m^2 + c) at c = pi^2*i^2 - a*k^2.
+def side_diagonals(
+    index: int | np.ndarray, ak2: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Same-side and opposite-side diagonal entries of mode ``index``.
 
     ``index`` is the mode index i and ``ak2`` is a*k^2; they are
-    numbers or arrays that broadcast together, c is formed as
-    ``PI2 * index * index - ak2``, and the result has its shape (a
-    float64 scalar for two numbers).  Index 0 with ``ak2 = -c`` gives
-    the series at any c.
-
-    ``kind="plain"`` sums the series as written: coth(sqrt(c))/sqrt(c)
-    for c > 0 and -cot(sqrt(-c))/sqrt(-c) for c < 0.
-    ``kind="alternating"`` inserts a factor (-1)^m: csch(sqrt(c))/sqrt(c)
-    for c > 0 and -csc(sqrt(-c))/sqrt(-c) for c < 0.
+    numbers or arrays that broadcast together, and both results have
+    the broadcast shape (0-d arrays for two numbers).  With
+    c = ``PI2 * index * index - ak2`` and d_0 = 1, d_m = sqrt(2), the
+    same-side entry is the mode series sum_m d_m^2 / (pi^2*m^2 + c):
+    coth(sqrt(c))/sqrt(c) for c > 0 and -cot(sqrt(-c))/sqrt(-c) for
+    c < 0.  The opposite-side entry is (-1)^i times the alternating
+    series, with a factor (-1)^m in each term: csch(sqrt(c))/sqrt(c)
+    for c > 0 and -csc(sqrt(-c))/sqrt(-c) for c < 0.  At index 0 the
+    sign is +1, so ``side_diagonals(0, -c)`` gives both series at any c.
 
     The transcendental functions are Python's ``math`` functions mapped
     over the entries, and the square roots and the remaining products
@@ -140,14 +130,16 @@ def sum_formula(
     arithmetic and ``sqrt`` are correctly rounded, so every entry is
     bit for bit the scalar closed form; numpy's own ``tanh``, ``sinh``
     and ``exp`` are not used because they differ from ``math`` in the
-    last bit on some inputs.
+    last bit on some inputs.  The sign is applied last and 0.0 added,
+    so an underflowed odd-i csch entry is 0.0, never -0.0, and a dump
+    never prints "-0".
 
     An entry whose nearest level has L = ``PI2 * (i*i + m0*m0) - ak2``
     with |L| < ``NEAR_LEVEL_SWITCH`` is instead that level's pole
-    d_m0^2 / L ((-1)^m0 * d_m0^2 / L for the alternating kind) plus the
-    regular rest from a short series.  L is rounded as the next-side
-    block's denominators are, so every block puts the pole at one
-    float; the closed forms put it an ulp or so away, and next to a
+    d_m0^2 / L ((-1)^m0 * d_m0^2 / L in the alternating series) plus
+    the regular rest from a short series.  L is rounded as the
+    next-side block's denominators are, so every block puts the pole at
+    one float; the closed forms put it an ulp or so away, and next to a
     level that alone can give the difference of two operators negative
     eigenvalues it does not have.
 
@@ -155,18 +147,8 @@ def sum_formula(
     resonances of the coefficient, which :class:`ProblemParams` has
     already refused; a validated coefficient gives finite values.
     """
-    if kind not in ("plain", "alternating"):
-        raise ValueError(f"kind must be 'plain' or 'alternating', got {kind!r}")
-    plain, alternating = _sum_formulas(index, ak2)
-    # [()] turns the 0-d result of two numbers into a scalar
-    return (plain if kind == "plain" else alternating)[()]
-
-
-def _sum_formulas(
-    index: int | np.ndarray, ak2: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # both kinds of sum_formula in one pass: they share the square
-    # roots, the sines and the near-level split
+    # both series in one pass: they share the square roots, the sines
+    # and the near-level split
     c = np.asarray(PI2 * index * index - ak2, dtype=float)
     flat = c.ravel()
     plain = np.empty_like(flat)
@@ -204,7 +186,8 @@ def _sum_formulas(
         alternating[near] = (
             np.where(m0 % 2 == 1, -pole, pole) + rest_alternating
         )
-    return plain, alternating
+    sign = np.where(index % 2 == 0, 1.0, -1.0)
+    return plain, sign * alternating + 0.0
 
 
 def _regular_rests(c: np.ndarray, m0: np.ndarray) -> list[np.ndarray]:
@@ -289,7 +272,6 @@ def side_blocks(
     ak2 = np.array([p.a * p.k * p.k for p in batch])
 
     idx = np.arange(j_modes)
-    sign = np.where(idx % 2 == 0, 1.0, -1.0)
     sq = np.square(idx, dtype=float)
 
     block_next = np.empty((len(batch), j_modes, j_modes))
@@ -307,10 +289,7 @@ def side_blocks(
     ):
         np.divide(numerator, region, out=region)
     np.negative(block_next[:, 1::2], out=block_next[:, 1::2])
-    same, opposite = _sum_formulas(idx, ak2[:, None])
-    # + 0.0 turns the -0.0 of an underflowed odd-i csch entry into 0.0,
-    # so a dump never prints "-0"
-    opposite = sign * opposite + 0.0
+    same, opposite = side_diagonals(idx, ak2[:, None])
     if isinstance(params, ProblemParams):
         return same[0], opposite[0], block_next[0]
     return same, opposite, block_next

@@ -91,14 +91,11 @@ class ProblemParams:
     guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise ValueError(f"wavenumber k must be positive, got {self.k}")
         if self.modes_per_side < 1:
             raise ValueError(
                 f"modes_per_side must be >= 1, got {self.modes_per_side}"
             )
-        if not self.guard > 0:
-            raise ValueError(f"guard must be positive, got {self.guard}")
+        # is_resonant refuses a k or a guard that is not positive
         if is_resonant(self.a, self.k, self.guard):
             raise ResonanceError(
                 f"a*k^2 = {self.a * self.k * self.k!r} is within "

@@ -1,10 +1,10 @@
 """Scalar closed forms of the side blocks, as a test reference.
 
-These are the per-entry functions the package evaluated before
-:func:`ndsquare.nd_matrix.sum_formula` took arrays and before
-``side_blocks`` became the only evaluation of the next-side block, kept
-verbatim so the array evaluation is checked bit for bit against an
-independent scalar path rather than against itself.
+These are the per-entry functions the package evaluated before its
+closed forms took arrays (now :func:`ndsquare.nd_matrix.side_diagonals`)
+and before ``side_blocks`` became the only evaluation of the next-side
+block, kept verbatim so the array evaluation is checked bit for bit
+against an independent scalar path rather than against itself.
 
 ``sum_formula`` here keeps the per-entry resonance check the package
 ran before resonance was decided once per coefficient by

@@ -20,7 +20,7 @@ import pytest
 
 from ndsquare.experiments import sweep, verify_crossing
 from ndsquare.linalg import difference_truncation_error, truncation_error
-from ndsquare.nd_matrix import assemble, same_side_entry, sum_formula
+from ndsquare.nd_matrix import assemble, same_side_entry, side_diagonals
 from ndsquare.solution_op import exact_negative_count
 from ndsquare.spectrum import (
     PI2,
@@ -210,8 +210,8 @@ def test_criterion_6_symmetry_and_sum_formulas():
             (-1.0) ** m * normalizer(m) ** 2 / (PI2 * m * m + c)
             for m in range(terms + 1)
         )
-        err_plain = abs(plain - sum_formula("plain", 0, -c))
-        err_alt = abs(alternating - sum_formula("alternating", 0, -c))
+        err_plain = abs(plain - side_diagonals(0, -c)[0])
+        err_alt = abs(alternating - side_diagonals(0, -c)[1])
         series_ok &= err_plain <= 1e-4 and err_alt <= 1e-4
         details.append(f"c={c}: plain {err_plain:.2e}, alternating {err_alt:.2e}")
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ndsquare import experiments
+from ndsquare import experiments, linalg, nd_matrix
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
@@ -630,6 +630,33 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     assert err.startswith("ndsquare sweep:")
     assert err.count("\n") == 1
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (experiments, ["sweep", "--a", "-10", "--b", "5"]),
+        (nd_matrix, ["assemble-dump", "--a", "-10"]),
+        (linalg, ["truncation-check", "--a", "-10", "--b", "200"]),
+    ],
+    ids=["sweep", "assemble-dump", "truncation-check"],
+)
+def test_allocation_failure_exits_2_with_one_line(
+    capsys, monkeypatch, module, argv
+):
+    # a --size too large to allocate; the stand-in raises instead of
+    # allocating, since whether a real request that size fails at once
+    # depends on the host's overcommit policy
+    message = "Unable to allocate 7.28 TiB for an array"
+
+    def refuse(params):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, "side_blocks", refuse)
+    code, out, err = run(capsys, *argv, "--size", "8")
+    assert code == 2
+    assert out == ""
+    assert err == f"ndsquare {argv[0]}: {message}\n"
 
 
 # Flag values for the contract fuzz test.  Sizes stay at 8 and 16 and

@@ -24,8 +24,8 @@ from ndsquare.nd_matrix import (
     opposite_side_entry,
     same_side_entry,
     side_blocks,
+    side_diagonals,
     _regular_rests,
-    sum_formula,
 )
 from ndsquare.spectrum import (
     PI2,
@@ -182,16 +182,16 @@ class TestAdjacentEntries:
 
 class TestSumFormula:
     def test_closed_forms(self):
-        assert sum_formula("plain", 0, -1.0) == pytest.approx(
+        assert side_diagonals(0, -1.0)[0] == pytest.approx(
             COTH_1, rel=1e-14
         )
-        assert sum_formula("alternating", 0, -1.0) == pytest.approx(
+        assert side_diagonals(0, -1.0)[1] == pytest.approx(
             CSCH_1, rel=1e-14
         )
-        assert sum_formula("plain", 0, 1.0) == pytest.approx(
+        assert side_diagonals(0, 1.0)[0] == pytest.approx(
             NEG_COT_1, rel=1e-14
         )
-        assert sum_formula("alternating", 0, 1.0) == pytest.approx(
+        assert side_diagonals(0, 1.0)[1] == pytest.approx(
             NEG_CSC_1, rel=1e-14
         )
 
@@ -208,15 +208,11 @@ class TestSumFormula:
             with pytest.raises(ResonanceError):
                 ProblemParams(a=a)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            sum_formula("weighted", 0, -1.0)
-
     @pytest.mark.parametrize("c", [400.0, 900.0, 1e4, 1e150, 1e300])
     def test_plain_form_is_one_over_root_for_large_c(self, c):
         # tanh rounds to 1.0 from about 19, so coth(x)/x needs no
         # large-argument form: it is 1/x bit for bit
-        assert sum_formula("plain", 0, -c) == 1.0 / math.sqrt(c)
+        assert side_diagonals(0, -c)[0] == 1.0 / math.sqrt(c)
 
     @pytest.mark.parametrize("c", [1.0, 5.0, -1.0])
     @pytest.mark.parametrize("terms", [1_000, 10_000, 100_000])
@@ -224,7 +220,7 @@ class TestSumFormula:
         partial = math.fsum(
             normalizer(m) ** 2 / (PI2 * m * m + c) for m in range(terms + 1)
         )
-        assert abs(partial - sum_formula("plain", 0, -c)) <= 4.0 / (
+        assert abs(partial - side_diagonals(0, -c)[0]) <= 4.0 / (
             PI2 * terms
         )
 
@@ -235,18 +231,17 @@ class TestSumFormula:
             (-1.0) ** m * normalizer(m) ** 2 / (PI2 * m * m + c)
             for m in range(terms + 1)
         )
-        assert abs(partial - sum_formula("alternating", 0, -c)) <= 4.0 / (
+        assert abs(partial - side_diagonals(0, -c)[1]) <= 4.0 / (
             PI2 * terms
         )
 
-
     def test_array_argument_keeps_shape_and_values(self):
         c = np.array([[1.0, -1.0], [400.0, -0.5 * PI2]])
-        for kind in ("plain", "alternating"):
-            values = sum_formula(kind, 0, -c)
+        for kind in (0, 1):
+            values = side_diagonals(0, -c)[kind]
             assert values.shape == (2, 2)
             for index, entry in np.ndenumerate(c):
-                assert values[index] == sum_formula(kind, 0, -float(entry))
+                assert values[index] == side_diagonals(0, -float(entry))[kind]
 
 
 _WAVENUMBER = st.floats(min_value=0.5, max_value=2.0) | st.just(1.0)
@@ -274,6 +269,27 @@ class TestSideBlocks:
             reference = np.array(reference)
             assert np.array_equal(values, reference)
             assert np.array_equal(np.signbit(values), np.signbit(reference))
+
+    @given(
+        a=COEFFICIENT,
+        k=_WAVENUMBER,
+        i=st.integers(min_value=0, max_value=400),
+    )
+    @example(a=-10.0, k=1.0, i=301)
+    @settings(max_examples=120, deadline=None)
+    def test_entry_functions_equal_the_block_diagonals(self, a, k, i):
+        # the opposite-side sign is applied once, in side_diagonals, so
+        # an underflowed odd-i entry is +0.0 here as in the block
+        assume(not is_resonant(a, k))
+        same, opposite, _ = side_blocks(
+            ProblemParams(a=a, k=k, modes_per_side=i + 1)
+        )
+        for entry, diagonal in (
+            (same_side_entry(i, a, k), same),
+            (opposite_side_entry(i, a, k), opposite),
+        ):
+            assert entry == diagonal[i]
+            assert np.signbit(entry) == np.signbit(diagonal[i])
 
     @given(
         a=COEFFICIENT,
