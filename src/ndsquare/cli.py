@@ -189,7 +189,7 @@ def _json_dumps(obj) -> str:
 
 def _run_sweep(parser: _Parser, args: argparse.Namespace) -> int:
     j_modes = _modes_per_side(parser, args.size)
-    if args.tol <= 0:
+    if not args.tol > 0:
         parser.error(f"--tol must be positive, got {args.tol}")
     b_values = _b_grid(parser, args)
     reports = experiments.sweep(
@@ -244,7 +244,7 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
 
 def _run_crossing(parser: _Parser, args: argparse.Namespace) -> int:
     j_modes = _modes_per_side(parser, args.size)
-    if args.tol <= 0:
+    if not args.tol > 0:
         parser.error(f"--tol must be positive, got {args.tol}")
     report = experiments.verify_crossing(
         args.n, eps=args.eps, k=args.k, modes_per_side=j_modes,

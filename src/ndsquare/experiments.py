@@ -129,45 +129,41 @@ def difference_spectra(
 ) -> Iterator[tuple[float, np.ndarray | None]]:
     """Iterate (b, descending spectrum of Λ(b) − Λ(a)) in grid order.
 
-    The spectrum is None for a resonant b.  Before this returns, a is
-    validated, every b gets its :class:`ProblemParams` (so a b that
+    The spectrum is None for a resonant b.  Before this returns, a and
+    ``modes_per_side`` are validated by one :class:`ProblemParams`,
+    every b is decided by one :func:`is_resonant` call (so a b that
     cannot be decided raises here, before any eigensolve) and the side
     blocks of a are assembled.  The valid b values are then solved in
     input order, ``max(1, BATCH_ENTRIES // modes_per_side**2)`` at a
-    time: one :func:`side_blocks` call and one :func:`circulant_spectrum`
-    call per batch, each spectrum yielded as soon as its batch is
-    solved and bit for bit the spectrum of that b alone.  No 4J×4J
-    matrix is formed.
+    time: one :func:`side_blocks` call on the batch's array of b·k² and
+    one :func:`circulant_spectrum` call per batch, each spectrum yielded
+    as soon as its batch is solved and bit for bit the spectrum of that
+    b alone.  No 4J×4J matrix is formed.
     """
-    if is_resonant(a, k, guard):
-        raise ResonanceError(f"base coefficient a={a!r} is resonant")
+    try:
+        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
+    except ResonanceError:
+        raise ResonanceError(f"base coefficient a={a!r} is resonant") from None
     if any(b < a for b in b_values):
         raise ValueError("b >= a is required at every grid point")
-    params: list[ProblemParams | None] = []
-    for b in b_values:
-        try:
-            params.append(ProblemParams(
-                a=b, k=k, modes_per_side=modes_per_side, guard=guard
-            ))
-        except ResonanceError:
-            params.append(None)
-    base = side_blocks(
-        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
+    resonant = [is_resonant(b, k, guard) for b in b_values]
+    base = side_blocks(a * k * k, modes_per_side)
+    ak2 = np.array(
+        [b * k * k for b, skip in zip(b_values, resonant) if not skip]
     )
-    valid = [p for p in params if p is not None]
     size = max(1, BATCH_ENTRIES // modes_per_side**2)
 
     def solved() -> Iterator[np.ndarray]:
-        for start in range(0, len(valid), size):
-            blocks = side_blocks(valid[start:start + size])
+        for start in range(0, len(ak2), size):
+            blocks = side_blocks(ak2[start:start + size], modes_per_side)
             for block, base_block in zip(blocks, base):
                 block -= base_block
             yield from circulant_spectrum(*blocks)
 
     spectra = solved()
     return (
-        (b, None if p is None else next(spectra))
-        for b, p in zip(b_values, params)
+        (b, None if skip else next(spectra))
+        for b, skip in zip(b_values, resonant)
     )
 
 

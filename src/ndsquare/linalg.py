@@ -151,19 +151,18 @@ def circulant_spectrum(
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1]
 
 
-def _border_norm(
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray], modes_per_side: int
-) -> float:
+def _border_norm(blocks: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     # spectral norm of the entries outside the upper-left 4*(J/2) corner;
     # zeroing the first J/2 modes of every side block (in place) keeps
     # the matrix block-circulant, so the block solver applies
+    same, opposite, block_next = blocks
+    modes_per_side = same.shape[-1]
     if modes_per_side % 2 != 0:
         raise ValueError(
             f"modes_per_side must be even to halve the truncation, "
             f"got {modes_per_side}"
         )
     half = modes_per_side // 2
-    same, opposite, block_next = blocks
     same[:half] = 0.0
     opposite[:half] = 0.0
     block_next[:half, :half] = 0.0
@@ -188,7 +187,9 @@ def truncation_error(params: ProblemParams) -> float:
     :func:`difference_truncation_error` for the much smaller error of
     operator differences.
     """
-    return _border_norm(side_blocks(params), params.modes_per_side)
+    return _border_norm(
+        side_blocks(params.a * params.k * params.k, params.modes_per_side)
+    )
 
 
 def difference_truncation_error(
@@ -207,12 +208,12 @@ def difference_truncation_error(
     cancel in the difference, so this decays like
     |b - a| / modes_per_side^3.
     """
-    blocks = side_blocks(
-        ProblemParams(a=b, k=k, modes_per_side=modes_per_side, guard=guard)
-    )
-    base = side_blocks(
-        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
-    )
+    for coefficient in (b, a):
+        ProblemParams(
+            a=coefficient, k=k, modes_per_side=modes_per_side, guard=guard
+        )
+    blocks = side_blocks(b * k * k, modes_per_side)
+    base = side_blocks(a * k * k, modes_per_side)
     for block, base_block in zip(blocks, base):
         block -= base_block
-    return _border_norm(blocks, modes_per_side)
+    return _border_norm(blocks)

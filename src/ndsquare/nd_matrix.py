@@ -26,38 +26,39 @@ symmetric matrix of size 4*modes_per_side.
 
 ``side_blocks`` evaluates the three distinct blocks once (the offset-0
 and offset-2 diagonals and the offset-1 block; offset 3 is its
-transpose), each as one array expression over the mode index, and
-over a batch of coefficients that share J when given several.  Both
-diagonals come from one pass of :func:`side_diagonals`, bit for bit
-the scalar closed forms, and ``same_side_entry`` and
-``opposite_side_entry`` are that pass at one mode of a validated
-coefficient.  The experiments and the truncation estimators never form
-the dense matrix: :func:`~ndsquare.linalg.circulant_spectrum` splits the
-block-circulant operator by the square's symmetry and the sign (-1)^i
-of the offset-1 block into four real symmetric eigenproblems of order
-about J/2 and one of order J, all read off that block's parity blocks.
-``assemble`` interleaves the same blocks into the dense matrix, which
-remains the test oracle for that solver and the content of the dump.
-The closed forms themselves are checked against a truncation of the
-underlying double series over interior modes, which lives with the
-tests (``tests/oracles.py``).
+transpose), each as one array expression over the mode index, from
+a*k^2 and J alone; an array of a*k^2 values gives a batch of blocks in
+the same pass.  Both diagonals come from one pass of
+:func:`side_diagonals`, bit for bit the scalar closed forms, and
+``same_side_entry`` and ``opposite_side_entry`` are that pass at one
+mode of a validated coefficient.  The experiments and the truncation
+estimators never form the dense matrix:
+:func:`~ndsquare.linalg.circulant_spectrum` splits the block-circulant
+operator by the square's symmetry and the sign (-1)^i of the offset-1
+block into four real symmetric eigenproblems of order about J/2 and
+one of order J, all read off that block's parity blocks.  ``assemble``
+interleaves the same blocks into the dense matrix, which remains the
+test oracle for that solver and the content of the dump.  The closed
+forms themselves are checked against a truncation of the underlying
+double series over interior modes, which lives with the tests
+(``tests/oracles.py``).
 
 Poles of the closed forms (vanishing denominators, cot/csc poles and
 branch points) all correspond to a*k^2 hitting a Neumann eigenvalue
-pi^2*(l^2+m^2).  Resonance is therefore decided once per coefficient,
-by :func:`~ndsquare.spectrum.is_resonant` when a
-:class:`~ndsquare.spectrum.ProblemParams` is built, and a coefficient
+pi^2*(l^2+m^2).  Resonance is therefore decided where a coefficient
+enters, by :func:`~ndsquare.spectrum.is_resonant` (which
+:class:`~ndsquare.spectrum.ProblemParams` applies), and a coefficient
 within the guard of a level raises
-:class:`~ndsquare.spectrum.ResonanceError` there.  The closed forms
-trust a validated coefficient: none of its denominators is zero and
-every entry is finite.
+:class:`~ndsquare.spectrum.ResonanceError` there.  ``side_blocks`` and
+``side_diagonals`` take a*k^2 of a validated coefficient and only
+evaluate: none of its denominators is zero and every entry is finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -236,50 +237,43 @@ class NdMatrix:
 
 
 def side_blocks(
-    params: ProblemParams | Sequence[ProblemParams],
+    ak2: float | np.ndarray, modes_per_side: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three distinct side blocks of the truncated matrix.
 
-    Returns ``(same, opposite, block_next)``: the same-side (offset 0)
-    and opposite-side (offset 2) diagonals as length-J vectors, and the
-    J×J next-side (offset 1) block.  The previous-side (offset 3) block
-    is ``block_next.T``.  These are the only closed-form evaluations of
-    the matrix; :func:`assemble` interleaves them and
+    ``ak2`` is a*k^2 of a validated coefficient, or an array of them,
+    and ``modes_per_side`` is J.  Returns ``(same, opposite,
+    block_next)``: the same-side (offset 0) and opposite-side (offset 2)
+    diagonals as length-J vectors, and the J×J next-side (offset 1)
+    block.  The previous-side (offset 3) block is ``block_next.T``.
+    These are the only closed-form evaluations of the matrix;
+    :func:`assemble` interleaves them and
     :func:`~ndsquare.linalg.circulant_spectrum` solves them without
     forming the dense matrix.
 
-    A sequence of P validated coefficients that share
-    ``modes_per_side`` is evaluated in one pass, with a leading batch
-    axis: shapes (P, J), (P, J) and (P, J, J), member p bit for bit the
-    blocks of ``params[p]`` alone (each member's own a*k^2 is used).  One :class:`ProblemParams` gives
-    the shapes without that axis.
+    The shape of an array ``ak2`` becomes the leading batch axes: P
+    values give shapes (P, J), (P, J) and (P, J, J), member p bit for
+    bit the blocks of ``ak2[p]`` alone.
 
     The next-side blocks are built in one buffer: the levels
     pi^2*(i^2+j^2) (integer sums up to 2J^2 are exact in float) are
-    formed once per batch in the first member's slot, the other members
+    formed once per call in the first member's slot, the other members
     subtract their a*k^2 from it, and the first subtracts its own last.
     Then the numerator d_i*d_j, one of 1, sqrt(2) and sqrt(2)*sqrt(2),
     is divided in by region, and the sign (-1)^i applied last, since
     IEEE division is sign-symmetric.  No J×J temporary is made.
     """
-    batch = [params] if isinstance(params, ProblemParams) else list(params)
-    if len({p.modes_per_side for p in batch}) != 1:
-        raise ValueError(
-            "side_blocks needs one or more coefficients that share "
-            "modes_per_side"
-        )
-    j_modes = batch[0].modes_per_side
-    ak2 = np.array([p.a * p.k * p.k for p in batch])
-
-    idx = np.arange(j_modes)
+    ak2 = np.asarray(ak2, dtype=float)
+    members = ak2.reshape(-1, 1, 1)
+    idx = np.arange(modes_per_side)
     sq = np.square(idx, dtype=float)
 
-    block_next = np.empty((len(batch), j_modes, j_modes))
-    levels = block_next[0]
+    block_next = np.empty((len(members), modes_per_side, modes_per_side))
+    levels = block_next[:1]
     np.add(sq[:, None], sq, out=levels)
     levels *= PI2
-    np.subtract(levels, ak2[1:, None, None], out=block_next[1:])
-    levels -= ak2[0]
+    np.subtract(levels, members[1:], out=block_next[1:])
+    levels -= members[:1]
     root2 = math.sqrt(2.0)
     for region, numerator in (
         (block_next[:, :1, :1], 1.0),
@@ -289,10 +283,8 @@ def side_blocks(
     ):
         np.divide(numerator, region, out=region)
     np.negative(block_next[:, 1::2], out=block_next[:, 1::2])
-    same, opposite = side_diagonals(idx, ak2[:, None])
-    if isinstance(params, ProblemParams):
-        return same[0], opposite[0], block_next[0]
-    return same, opposite, block_next
+    same, opposite = side_diagonals(idx, ak2[..., None])
+    return same, opposite, block_next.reshape(ak2.shape + block_next.shape[1:])
 
 
 def assemble(params: ProblemParams) -> NdMatrix:
@@ -310,7 +302,9 @@ def assemble(params: ProblemParams) -> NdMatrix:
     the oracle for the block solver and the source of the dump.
     """
     j_modes = params.modes_per_side
-    same, opposite, block_next = side_blocks(params)
+    same, opposite, block_next = side_blocks(
+        params.a * params.k * params.k, j_modes
+    )
     blocks = (np.diag(same), block_next, np.diag(opposite), block_next.T)
     out = np.empty((4 * j_modes, 4 * j_modes))
     for p in range(4):

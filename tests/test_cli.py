@@ -619,6 +619,49 @@ def test_usage_errors_name_the_subcommand(capsys, argv):
     assert f"ndsquare {argv[0]}: error:" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--a", "-10", "--b", "5", "--b", "200"],
+        ["crossing", "--n", "25", "--eps", "0.05"],
+    ],
+    ids=["sweep", "crossing"],
+)
+def test_unusable_tol_is_a_usage_error_before_any_eigensolve(
+    capsys, monkeypatch, argv, tol
+):
+    def refuse(*blocks):
+        raise AssertionError("circulant_spectrum was called")
+
+    monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--size", "8", "--tol", tol])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ndsquare {argv[0]}")
+    assert f"ndsquare {argv[0]}: error: --tol must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--b-min", "0", "--b-max", "5"],
+         "--b-min, --b-max and --b-step must be given together"),
+        (["--b-min", "5", "--b-max", "0", "--b-step", "1"],
+         "--b-max must be >= --b-min"),
+    ],
+    ids=["partial-range", "b-max-below-b-min"],
+)
+def test_incomplete_or_reversed_range_is_a_usage_error(capsys, grid, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--a", "-10", *grid, "--size", "8"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ndsquare sweep")
+    assert f"ndsquare sweep: error: {message}" in err
+
+
 def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     path = tmp_path / "missing" / "sweep.csv"
     code, out, err = run(
@@ -649,7 +692,7 @@ def test_allocation_failure_exits_2_with_one_line(
     # depends on the host's overcommit policy
     message = "Unable to allocate 7.28 TiB for an array"
 
-    def refuse(params):
+    def refuse(*args):
         raise MemoryError(message)
 
     monkeypatch.setattr(module, "side_blocks", refuse)

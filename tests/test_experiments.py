@@ -4,6 +4,8 @@ Matrix sizes here are kept small for speed; the full-scale runs live in
 the acceptance suite.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,8 @@ class TestSweep:
         assert report.measured_negative in (0, 1)
 
     def test_resonance_is_decided_once_per_coefficient(self, monkeypatch):
-        # the figure-1 sweep: a twice (the check and its side blocks),
-        # then each b once; every bound is the lattice count of the window
+        # the figure-1 sweep: a once (its ProblemParams), then each b
+        # once; every bound is the lattice count of the window
         calls = []
         decide = spectrum.is_resonant
 
@@ -81,7 +83,7 @@ class TestSweep:
         b_values = [-9.0 + i for i in range(210)]
         reports = sweep(-10.0, b_values, modes_per_side=2)
         monkeypatch.undo()
-        assert len(calls) == len(b_values) + 2
+        assert len(calls) == len(b_values) + 1
         assert [r.b for r in reports if r.skipped] == [0.0]
         for r in reports:
             if not r.skipped:
@@ -214,6 +216,27 @@ class TestVerifyCrossing:
         # ill-posed, so the message points at eps
         with pytest.raises(ResonanceError, match="eps=.*change eps"):
             verify_crossing(1, eps=PI2, modes_per_side=10)
+
+    def test_resonant_window_end_names_it_and_solves_nothing(
+        self, monkeypatch
+    ):
+        # the window count accepts both ends; a decider that calls the
+        # upper end resonant must stop the measurement before its solve
+        n, eps = 25, 0.05
+        upper = PI2 * n + eps
+        decide = experiments.is_resonant
+
+        def resonant_upper(b, k, guard):
+            return b == upper or decide(b, k, guard)
+
+        def refuse(*blocks):
+            raise AssertionError("circulant_spectrum was called")
+
+        monkeypatch.setattr(experiments, "is_resonant", resonant_upper)
+        monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+        message = f"crossing window end {upper!r} is resonant"
+        with pytest.raises(ResonanceError, match=re.escape(message)):
+            verify_crossing(n, eps=eps, modes_per_side=8)
 
     def test_rejects_eps_at_or_below_guard(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ series.
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,9 +260,7 @@ class TestSideBlocks:
         # J past 236 reaches the underflowed csch entries, and every a
         # here reaches x > LARGE_ARG; the comparison includes signbits
         assume(not is_resonant(a, k))
-        same, opposite, _ = side_blocks(
-            ProblemParams(a=a, k=k, modes_per_side=j_modes)
-        )
+        same, opposite, _ = side_blocks(a * k * k, j_modes)
         for values, reference in (
             (same, same_side_diagonal(a, k, j_modes)),
             (opposite, opposite_side_diagonal(a, k, j_modes)),
@@ -281,9 +280,7 @@ class TestSideBlocks:
         # the opposite-side sign is applied once, in side_diagonals, so
         # an underflowed odd-i entry is +0.0 here as in the block
         assume(not is_resonant(a, k))
-        same, opposite, _ = side_blocks(
-            ProblemParams(a=a, k=k, modes_per_side=i + 1)
-        )
+        same, opposite, _ = side_blocks(a * k * k, i + 1)
         for entry, diagonal in (
             (same_side_entry(i, a, k), same),
             (opposite_side_entry(i, a, k), opposite),
@@ -304,9 +301,10 @@ class TestSideBlocks:
         # one buffer divided by region and negated by row gives the bits
         # of (sign_i*d_i)*d_j / (pi^2*(i^2+j^2) - a*k^2), signbits too
         assume(not is_resonant(a, k))
-        params = ProblemParams(a=a, k=k, modes_per_side=j_modes)
-        block_next = side_blocks(params)[2]
-        reference = outer_product_next_block(params)
+        block_next = side_blocks(a * k * k, j_modes)[2]
+        reference = outer_product_next_block(
+            ProblemParams(a=a, k=k, modes_per_side=j_modes)
+        )
         assert np.array_equal(block_next, reference)
         assert np.array_equal(np.signbit(block_next), np.signbit(reference))
 
@@ -325,8 +323,7 @@ class TestSideBlocks:
         # may blow up and no sweep point may be refused again
         assume(not is_resonant(a, k) and not is_resonant(b, k))
         for coeff in (a, b):
-            params = ProblemParams(a=coeff, k=k, modes_per_side=j_modes)
-            for block in side_blocks(params):
+            for block in side_blocks(coeff * k * k, j_modes):
                 assert np.isfinite(block).all()
         lo, hi = sorted((a, b))
         assume(lo < hi)
@@ -344,9 +341,7 @@ class TestSideBlocks:
         assert not is_resonant(GUARD_EDGE_EXAMPLE, 1.0)
         with pytest.raises(ResonanceError, match="trigonometric pole"):
             per_entry_sum_formula("plain", -GUARD_EDGE_EXAMPLE)
-        same, opposite, block_next = side_blocks(
-            ProblemParams(a=GUARD_EDGE_EXAMPLE, modes_per_side=8)
-        )
+        same, opposite, block_next = side_blocks(GUARD_EDGE_EXAMPLE, 8)
         assert np.isfinite(same[0]) and abs(same[0]) > 1e9
         assert np.isfinite(opposite[0]) and np.isfinite(block_next).all()
 
@@ -361,16 +356,14 @@ class TestSideBlocks:
             -10.0, GUARD_EDGE_EXAMPLE / (k * k), -10.0, 1e5 + 0.3, 57.3,
             -60.0, 200.0,
         ][:members]
-        batch = [
-            ProblemParams(a=a, k=k, modes_per_side=j_modes)
-            for a in coefficients
-        ]
-        stacked = side_blocks(batch)
+        assert not any(is_resonant(a, k) for a in coefficients)
+        ak2 = [a * k * k for a in coefficients]
+        stacked = side_blocks(np.array(ak2), j_modes)
         shapes = [(members, j_modes), (members, j_modes),
                   (members, j_modes, j_modes)]
         assert [part.shape for part in stacked] == shapes
-        for member, params in enumerate(batch):
-            for part, single in zip(stacked, side_blocks(params)):
+        for member, value in enumerate(ak2):
+            for part, single in zip(stacked, side_blocks(value, j_modes)):
                 assert part[member].shape == single.shape
                 assert np.array_equal(part[member], single)
                 assert np.array_equal(
@@ -378,24 +371,26 @@ class TestSideBlocks:
                 )
 
     def test_members_keep_their_own_wavenumber(self):
-        batch = [ProblemParams(a=-10.0, k=1.0, modes_per_side=9),
-                 ProblemParams(a=-10.0, k=0.5, modes_per_side=9)]
-        for member, part in enumerate(zip(*side_blocks(batch))):
-            for values, single in zip(part, side_blocks(batch[member])):
+        ak2 = [-10.0 * 1.0 * 1.0, -10.0 * 0.5 * 0.5]
+        for member, part in enumerate(zip(*side_blocks(np.array(ak2), 9))):
+            for values, single in zip(part, side_blocks(ak2[member], 9)):
                 assert np.array_equal(values, single)
 
-    @pytest.mark.parametrize(
-        "batch",
-        [
-            [],
-            [ProblemParams(a=-10.0, modes_per_side=4),
-             ProblemParams(a=-10.0, modes_per_side=5)],
-        ],
-        ids=["empty", "mixed-J"],
-    )
-    def test_batch_must_share_modes(self, batch):
-        with pytest.raises(ValueError, match="share modes_per_side"):
-            side_blocks(batch)
+    @pytest.mark.parametrize("shape", [(0,), (2, 3), (1, 1, 2)])
+    def test_every_axis_of_ak2_is_a_batch_axis(self, shape):
+        # an empty batch gives empty blocks; a grid of coefficients
+        # gives one member per entry, each its own single-float blocks
+        ak2 = np.linspace(-60.0, 200.5, math.prod(shape)).reshape(shape)
+        stacked = side_blocks(ak2, 5)
+        assert [part.shape for part in stacked] == [
+            shape + (5,), shape + (5,), shape + (5, 5)
+        ]
+        for index in np.ndindex(shape):
+            for part, single in zip(stacked, side_blocks(ak2[index], 5)):
+                assert np.array_equal(part[index], single)
+                assert np.array_equal(
+                    np.signbit(part[index]), np.signbit(single)
+                )
 
 
 # (a, b, count, bound, lambda_min) at J = 8: the count, and lambda_min
@@ -688,6 +683,18 @@ class TestDumpFormat:
             load_matrix(io.StringIO("4 1 -1\n"))
         with pytest.raises(ValueError):
             load_matrix(io.StringIO("4 1 -1 monte_carlo\n0 0 0 0\n" * 4))
+
+    def test_load_rejects_a_size_not_divisible_by_4(self):
+        text = "6 1 -1 closed_form\n" + "0 0 0 0 0 0\n" * 6
+        with pytest.raises(ValueError, match="6 is not divisible by 4"):
+            load_matrix(io.StringIO(text))
+
+    def test_load_rejects_a_body_that_disagrees_with_the_header(self):
+        text = dumps_matrix(assemble(ProblemParams(a=-1.0, modes_per_side=2)))
+        without_last_row = text[: text.rindex("\n", 0, -1) + 1]
+        message = "expected a 8x8 matrix, got shape (7, 8)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_matrix(io.StringIO(without_last_row))
 
 
 class TestNdMatrixType:

@@ -4,7 +4,9 @@ Every top-level function and class of ``src/ndsquare`` must be used by
 the package itself, be exported in ``ndsquare.__all__``, be an entry
 point in ``pyproject.toml``, or be looked up by the benchmark's tracer
 (``bench/layers.py``).  A name only the tests use belongs in the tests,
-for instance in ``tests/oracles.py``.
+for instance in ``tests/oracles.py``.  Every name a ``src`` module
+imports must be used in that module, be re-exported in
+``ndsquare.__all__``, or sit on a ``# noqa: F401`` line.
 """
 
 import ast
@@ -62,3 +64,26 @@ def test_every_definition_runs_in_the_package():
         if name not in used and name not in allowed
     ]
     assert test_only == [], "used only outside the package; move to tests"
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in SOURCES:
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if (
+                    name not in loaded
+                    and name not in ndsquare.__all__
+                    and "# noqa: F401" not in lines[alias.lineno - 1]
+                ):
+                    unused.append(f"{path.stem}.{name}")
+    assert unused == [], "imported but never used; drop the import"

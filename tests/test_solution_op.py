@@ -90,6 +90,10 @@ class TestExactNegativeCount:
         with pytest.raises(ValueError):
             exact_negative_count(5.0, 5.0, 1.0, 10)
 
+    def test_rejects_a_cutoff_below_one(self):
+        with pytest.raises(ValueError, match="mode_cutoff must be >= 1"):
+            exact_negative_count(-1.0, 5.0, mode_cutoff=0)
+
     def test_detects_too_small_cutoff(self):
         # pi^2 * 3^2 < 150: sign changes could hide beyond the cutoff
         with pytest.raises(ValueError):
