@@ -21,16 +21,24 @@ All three consume :func:`difference_spectra`, the one experiment loop.
 It solves the grid in batches of points, with one
 :func:`~ndsquare.nd_matrix.side_blocks` and one
 :func:`~ndsquare.linalg.circulant_spectrum` call per batch, and hands
-each spectrum on as soon as its batch is solved, so a consumer that
-streams (the CLI's ``trajectories`` CSV writer) holds one batch at a
-time.  The dense 4J×4J matrix is never formed, and the outputs are
-deterministic functions of the inputs.
+each spectrum on in grid order as soon as its batch is solved, so a
+consumer that streams (the CLI's ``trajectories`` CSV writer) holds
+one batch at a time.  On Linux, in a process with one thread, forked
+helper processes solve every W-th batch on the other CPUs of the
+affinity mask and pipe the float64 spectra back as raw bytes
+(``numpy.linalg.eigvalsh`` holds the GIL, so threads would not
+overlap); elsewhere the loop is serial.  The dense 4J×4J matrix is
+never formed, and the outputs are deterministic functions of the
+inputs, bit for bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -120,6 +128,75 @@ class CrossingReport:
         return self.measured == self.expected
 
 
+def _cpu_count() -> int:
+    """CPUs to solve on: the affinity mask's, or 1 where fork is unsafe.
+
+    Without ``os.sched_getaffinity`` (outside Linux) the solve stays
+    serial, and so it does in a process that runs a second thread,
+    since a fork there can deadlock the child.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _solved(solve, batches: list, order: int) -> Iterator[np.ndarray]:
+    """Yield ``solve(batch)`` of shape (len(batch), order) for each batch.
+
+    With W = min(:func:`_cpu_count`, number of batches), the first
+    next() forks W - 1 helpers.  Helper w solves batches w, w + W, ...
+    and writes each float64 result as raw bytes to its own pipe; it
+    leaves by ``os._exit``, so it never returns into the caller's stack
+    and flushes no inherited buffer.  This process solves batches 0, W,
+    2W, ... itself and reads the others in order, so each result has
+    the bits of its serial solve and no more processes solve than there
+    are CPUs.  If a helper's stream ends early (or it could not be
+    forked), this process solves the rest of its batches, so a failure
+    there ends as the serial path's own result or exception.  On every
+    exit the read ends are closed and every helper is killed and reaped.
+    """
+    workers = min(_cpu_count(), len(batches))
+    pids, readers = [], {}
+    try:
+        for w in range(1, workers):
+            fd_read, fd_write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: w's batches are solved here
+                os.close(fd_read)
+                os.close(fd_write)
+                continue
+            if pid == 0:
+                try:
+                    os.close(fd_read)
+                    for reader in readers.values():
+                        reader.close()
+                    with open(fd_write, "wb") as out:
+                        for batch in batches[w::workers]:
+                            out.write(solve(batch).tobytes())
+                            out.flush()
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(fd_write)
+            readers[w] = open(fd_read, "rb")
+        for i, batch in enumerate(batches):
+            reader = readers.get(i % workers)
+            if reader is not None:
+                eigs = np.empty((len(batch), order))
+                if reader.readinto(eigs) == eigs.nbytes:
+                    yield eigs
+                    continue
+                readers.pop(i % workers).close()
+            yield solve(batch)
+    finally:
+        for reader in readers.values():
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def difference_spectra(
     a: float,
     b_values: Sequence[float],
@@ -134,11 +211,16 @@ def difference_spectra(
     every b is decided by one :func:`is_resonant` call (so a b that
     cannot be decided raises here, before any eigensolve) and the side
     blocks of a are assembled.  The valid b values are then solved in
-    input order, ``max(1, BATCH_ENTRIES // modes_per_side**2)`` at a
-    time: one :func:`side_blocks` call on the batch's array of b·k² and
-    one :func:`circulant_spectrum` call per batch, each spectrum yielded
-    as soon as its batch is solved and bit for bit the spectrum of that
-    b alone.  No 4J×4J matrix is formed.
+    batches of ``max(1, BATCH_ENTRIES // modes_per_side**2)`` in input
+    order: one :func:`side_blocks` call on the batch's array of b·k²
+    and one :func:`circulant_spectrum` call per batch.  Each spectrum
+    is yielded as soon as its batch is solved and is bit for bit the
+    spectrum of that b alone.  No 4J×4J matrix is formed.
+
+    The first next() spreads the batches over the CPUs (see
+    :func:`_solved`); the helper processes get the base blocks through
+    the fork, and exhausting, closing or dropping the iterator kills
+    and reaps them.  Every yielded array is writable.
     """
     try:
         ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
@@ -153,14 +235,18 @@ def difference_spectra(
     )
     size = max(1, BATCH_ENTRIES // modes_per_side**2)
 
-    def solved() -> Iterator[np.ndarray]:
-        for start in range(0, len(ak2), size):
-            blocks = side_blocks(ak2[start:start + size], modes_per_side)
-            for block, base_block in zip(blocks, base):
-                block -= base_block
-            yield from circulant_spectrum(*blocks)
+    def solve(batch: np.ndarray) -> np.ndarray:
+        blocks = side_blocks(batch, modes_per_side)
+        for block, base_block in zip(blocks, base):
+            block -= base_block
+        return circulant_spectrum(*blocks)
 
-    spectra = solved()
+    batches = [ak2[start:start + size] for start in range(0, len(ak2), size)]
+    spectra = (
+        eigs
+        for solved in _solved(solve, batches, 4 * modes_per_side)
+        for eigs in solved
+    )
     return (
         (b, None if skip else next(spectra))
         for b, skip in zip(b_values, resonant)

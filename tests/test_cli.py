@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import signal
 import time
 import tracemalloc
 
@@ -21,6 +20,7 @@ from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
 from ndsquare.spectrum import PI2, ProblemParams
 from coefficients import GUARD_EDGE_EXAMPLE
+from limits import time_limit
 from scalar_reference import per_line_trajectories_csv
 
 
@@ -28,29 +28,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-class _Hang(Exception):
-    """Raised by the alarm in :func:`_time_limit`; main does not catch it."""
-
-
-@contextlib.contextmanager
-def _time_limit(seconds):
-    # turns a hang into a test failure instead of a stuck suite
-    def hang(signum, frame):
-        raise _Hang(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except _Hang as exc:
-        # a fresh traceback: the interrupted frame can lack a line
-        # number, which pytest's report cannot format
-        raise _Hang(str(exc)) from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBound:
@@ -498,7 +475,7 @@ def test_undecidable_input_exits_2_within_2_s(capsys, argv):
     # reaches the guard, pi^2*10**400 does not fit in a float, a guard
     # of 1e6 at 1e20 spans levels too large to scan in time, and the
     # modes below 4e14 take more than 2^20 lattice rows to count
-    with _time_limit(2.0):
+    with time_limit(2.0):
         code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -522,7 +499,7 @@ _UNDECIDABLE_B = {
     "case", _UNDECIDABLE_B.values(), ids=_UNDECIDABLE_B.keys()
 )
 def test_undecidable_b_fails_before_any_output_or_eigensolve(
-    tmp_path, capsys, monkeypatch, case, to_file
+    tmp_path, capsys, monkeypatch, one_cpu, case, to_file
 ):
     # every b is decided, and for sweep counted, before the first
     # eigensolve and the first byte
@@ -629,7 +606,7 @@ def test_usage_errors_name_the_subcommand(capsys, argv):
     ids=["sweep", "crossing"],
 )
 def test_unusable_tol_is_a_usage_error_before_any_eigensolve(
-    capsys, monkeypatch, argv, tol
+    capsys, monkeypatch, one_cpu, argv, tol
 ):
     def refuse(*blocks):
         raise AssertionError("circulant_spectrum was called")
@@ -700,6 +677,60 @@ def test_allocation_failure_exits_2_with_one_line(
     assert code == 2
     assert out == ""
     assert err == f"ndsquare {argv[0]}: {message}\n"
+
+
+def _cli_bytes(tmp_path, argv, to_file):
+    # stdout is a buffered file, as from a shell: a helper that flushed
+    # its inherited copy of the buffer would write the header twice
+    path = tmp_path / "out"
+    if to_file:
+        code = main([*argv, "--out", str(path)])
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            with contextlib.redirect_stdout(fh):
+                code = main(argv)
+    return code, path.read_bytes()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", ["sweep", "trajectories"])
+def test_two_cpus_write_the_bytes_of_one(
+    tmp_path, monkeypatch, command, to_file
+):
+    # at --size 40 a batch of 100 next-side entries holds one point, so
+    # the helper solves every other point of the 79; b = 0 is resonant
+    monkeypatch.setattr(experiments, "BATCH_ENTRIES", 100)
+    argv = [
+        command, "--a", "-10", "--b-min", "-9", "--b-max", "30",
+        "--b-step", "0.5", "--size", "40",
+    ]
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+    code, expected = _cli_bytes(tmp_path, argv, to_file)
+    assert code == 0
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    assert _cli_bytes(tmp_path, argv, to_file) == (0, expected)
+
+
+@pytest.mark.parametrize("command", ["sweep", "trajectories"])
+def test_allocation_failure_in_every_process_exits_2_with_one_line(
+    capsys, monkeypatch, two_cpus, command
+):
+    # the helper's stream ends at its first batch, and this process
+    # meets the same failure in its own first batch
+    message = "Unable to allocate 7.28 TiB for an array"
+
+    def refuse(*blocks):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+    monkeypatch.setattr(experiments, "BATCH_ENTRIES", 100)
+    code, out, err = run(
+        capsys, command, "--a", "-10", "--b", "5", "--b", "7", "--size", "40",
+    )
+    assert code == 2
+    header = "" if command == "sweep" else TRAJECTORIES_CSV_HEADER + "\n"
+    assert out == header
+    assert err == f"ndsquare {command}: {message}\n"
 
 
 # Flag values for the contract fuzz test.  Sizes stay at 8 and 16 and
@@ -774,7 +805,7 @@ def test_cli_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with _time_limit(2.0):
+        with time_limit(2.0):
             try:
                 code = main(argv)
             except SystemExit as exc:

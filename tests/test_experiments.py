@@ -4,7 +4,9 @@ Matrix sizes here are kept small for speed; the full-scale runs live in
 the acceptance suite.
 """
 
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ndsquare.spectrum import (
     multiplicity,
     negative_eigenvalue_bound,
 )
+from limits import time_limit
 
 
 class TestSweep:
@@ -141,7 +144,9 @@ def batch_sizes(monkeypatch):
 
 
 class TestDifferenceSpectra:
-    def test_batches_follow_input_order(self, monkeypatch, batch_sizes):
+    def test_batches_follow_input_order(
+        self, monkeypatch, one_cpu, batch_sizes
+    ):
         # J = 100 puts 6 points in a batch; b == a opens the grid and
         # the resonant b = pi^2 sits right after the first batch
         assert experiments.BATCH_ENTRIES // 100**2 == 6
@@ -165,7 +170,7 @@ class TestDifferenceSpectra:
             assert eigs is None or _same_bits(eigs, alone)
         assert not spectra[0][1].any()
 
-    def test_batches_are_solved_on_demand(self, batch_sizes):
+    def test_batches_are_solved_on_demand(self, one_cpu, batch_sizes):
         # a consumer gets the first spectrum after one batch is solved
         spectra = experiments.difference_spectra(
             -10.0, [-9.0 + i for i in range(20)], 1.0, 100, 1e-9
@@ -176,7 +181,7 @@ class TestDifferenceSpectra:
 
     @pytest.mark.parametrize("driver", [sweep, trajectories])
     def test_undecidable_b_fails_before_any_eigensolve(
-        self, monkeypatch, driver
+        self, monkeypatch, one_cpu, driver
     ):
         def refuse(*blocks):
             raise AssertionError("circulant_spectrum was called")
@@ -186,6 +191,192 @@ class TestDifferenceSpectra:
             driver(-10.0, [5.0, 1e300], modes_per_side=4)
         with pytest.raises(ValueError, match="decidability limit"):
             experiments.difference_spectra(-10.0, [5.0, 1e300], 1.0, 4, 1e-9)
+
+
+def _spectra(b_values, modes_per_side):
+    return list(
+        experiments.difference_spectra(
+            -10.0, b_values, 1.0, modes_per_side, 1e-9
+        )
+    )
+
+
+def _assert_same_points(points, expected):
+    assert [b for b, _ in points] == [b for b, _ in expected]
+    for (_, eigs), (_, alone) in zip(points, expected):
+        assert (eigs is None) == (alone is None)
+        assert eigs is None or _same_bits(eigs, alone)
+
+
+def _grid(modes_per_side, batches):
+    """b == a, then points filling ``batches`` batches, the last one
+    partly, with the resonant b = pi^2 between the first two."""
+    size = max(1, experiments.BATCH_ENTRIES // modes_per_side**2)
+    valid = batches * size - size // 2
+    b_values = [-10.0 + 0.75 * i for i in range(valid)]
+    b_values.insert(size, PI2)
+    return b_values
+
+
+def _assert_no_child_process():
+    # no helper is left running and none is left a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each helper forked, in order."""
+    fork = os.fork
+    pids = []
+
+    def recorded():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+class TestParallelSolve:
+    # two processes solve, whatever the CPUs of the host; the one-CPU
+    # loop is the reference, bit for bit
+
+    def test_this_process_solves_batches_0_2_4(
+        self, monkeypatch, two_cpus, batch_sizes
+    ):
+        # the grid of test_batches_follow_input_order: batches of 6, 6
+        # and 2 points, then 14 of one; the helper's calls are not seen
+        b_values = [-10.0, -9.0, -8.0, -7.0, -6.0, -5.0, PI2]
+        b_values += [11.0 + i for i in range(8)]
+        spectra = _spectra(b_values, 100)
+        assert batch_sizes == [6, 2]
+        monkeypatch.setattr(experiments, "BATCH_ENTRIES", 1)
+        single = _spectra(b_values, 100)
+        assert batch_sizes == [6, 2] + [1] * 7
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+        _assert_same_points(spectra, _spectra(b_values, 100))
+        _assert_same_points(single, _spectra(b_values, 100))
+
+    @pytest.mark.parametrize("batches", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "modes_per_side, entries", [(1, 3), (100, None), (250, None)]
+    )
+    def test_spectra_equal_one_cpu(
+        self, monkeypatch, forks, modes_per_side, entries, batches
+    ):
+        if entries is not None:
+            monkeypatch.setattr(experiments, "BATCH_ENTRIES", entries)
+        b_values = _grid(modes_per_side, batches)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+        expected = _spectra(b_values, modes_per_side)
+        assert forks == []
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        points = _spectra(b_values, modes_per_side)
+        _assert_same_points(points, expected)
+        assert len(forks) == (batches > 1)
+        assert not points[0][1].any()
+        assert all(eigs.flags.writeable for _, eigs in points if eigs is not None)
+
+    @pytest.mark.parametrize("after", [0, 1])
+    @pytest.mark.parametrize("failure", ["exit", "MemoryError"])
+    def test_dead_helper_leaves_its_batches_here(
+        self, monkeypatch, one_cpu, failure, after
+    ):
+        # the helper takes batches 1, 3 and 5 and dies before its
+        # first or its second solve; this process solves them instead
+        b_values = _grid(100, 7)
+        expected = _spectra(b_values, 100)
+        solve = experiments.circulant_spectrum
+        parent = os.getpid()
+        solved_in_helper = []
+
+        def dies_in_helper(*blocks):
+            if os.getpid() != parent:
+                if len(solved_in_helper) == after:
+                    if failure == "exit":
+                        os._exit(1)
+                    raise MemoryError()
+                solved_in_helper.append(blocks[0].shape[0])
+            return solve(*blocks)
+
+        monkeypatch.setattr(experiments, "circulant_spectrum", dies_in_helper)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        _assert_same_points(_spectra(b_values, 100), expected)
+
+    def test_failed_fork_leaves_the_helper_batches_here(
+        self, monkeypatch, one_cpu
+    ):
+        b_values = _grid(100, 3)
+        expected = _spectra(b_values, 100)
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        _assert_same_points(_spectra(b_values, 100), expected)
+
+    def test_no_helper_outlives_a_full_run(self, two_cpus, forks):
+        with time_limit(10.0):
+            _spectra(_grid(100, 7), 100)
+        assert len(forks) == 1
+        _assert_no_child_process()
+
+    def test_no_helper_outlives_close(self, two_cpus, forks):
+        # 30 batches: the helper is still solving, or blocked on a full
+        # pipe, when the consumer stops
+        with time_limit(10.0):
+            spectra = experiments.difference_spectra(
+                -10.0, _grid(100, 30), 1.0, 100, 1e-9
+            )
+            next(spectra)
+            spectra.close()
+        assert len(forks) == 1
+        _assert_no_child_process()
+
+    def test_no_helper_outlives_a_consumer_exception(self, two_cpus, forks):
+        class Stop(Exception):
+            pass
+
+        with time_limit(10.0):
+            with pytest.raises(Stop):
+                for _ in experiments.difference_spectra(
+                    -10.0, _grid(100, 30), 1.0, 100, 1e-9
+                ):
+                    raise Stop
+        assert len(forks) == 1
+        _assert_no_child_process()
+
+
+class TestCpuCount:
+    def test_counts_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity mask on this platform")
+        assert threading.active_count() == 1
+        assert experiments._cpu_count() == len(os.sched_getaffinity(0))
+
+    def test_one_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert experiments._cpu_count() == 1
+
+    def test_a_threaded_process_forks_no_helper(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        thread.start()
+        try:
+            assert experiments._cpu_count() == 1
+            points = _spectra(_grid(100, 3), 100)
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert forks == []
+        assert experiments._cpu_count() == 2
+        _assert_same_points(points, _spectra(_grid(100, 3), 100))
+        assert len(forks) == 1
 
 
 class TestVerifyCrossing:
@@ -218,7 +409,7 @@ class TestVerifyCrossing:
             verify_crossing(1, eps=PI2, modes_per_side=10)
 
     def test_resonant_window_end_names_it_and_solves_nothing(
-        self, monkeypatch
+        self, monkeypatch, one_cpu
     ):
         # the window count accepts both ends; a decider that calls the
         # upper end resonant must stop the measurement before its solve
