@@ -378,6 +378,33 @@ class TestCrossingCommand:
         assert code == 2
         assert "sum of two squares" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # the lower window end is the level 0
+        (("--n", "1", "--eps", "9.869604401089358"),
+         "window around pi^2*1/k^2 with eps=9.869604401089358 ends within "
+         "the guard 1e-09 of a Neumann eigenvalue; change eps"),
+        # only the upper window end, 5*pi^2, is a level
+        (("--n", "4", "--eps", "9.869604401089358"),
+         "window around pi^2*4/k^2 with eps=9.869604401089358 ends within "
+         "the guard 1e-09 of a Neumann eigenvalue; change eps"),
+        (("--n", "1", "--eps", "10.5"),
+         "window around pi^2*1/k^2 with eps=10.5 holds 4 Neumann "
+         "eigenvalues, not the 2 of level 1; shrink eps"),
+        (("--n", "3"),
+         "n=3 is not a sum of two squares; pi^2*n is not a Neumann "
+         "eigenvalue"),
+        (("--n", "100000000000000000000"),
+         "a*k^2 = 9.869604401089358e+20 is beyond the decidability limit: "
+         "its float spacing 1.31e+05 is not below the resonance guard "
+         "1e-09"),
+        (("--n", "-1"), "n must be nonnegative, got -1"),
+    ])
+    def test_rejected_window_diagnostics(self, capsys, argv, message):
+        code, out, err = run(capsys, "crossing", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"ndsquare crossing: {message}\n"
+
     @pytest.mark.parametrize("k", ["1e-200", "1e-155", "1e200", "nan"])
     def test_k_squared_not_normal_exits_2(self, capsys, k):
         # 1e-200 squares to 0.0, which the level pi^2*n/k^2 divides by
