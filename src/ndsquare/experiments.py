@@ -12,10 +12,12 @@ difference of two truncated Neumann-to-Dirichlet matrices:
 * ``verify_crossing``: place the coefficient window symmetrically
   around a Neumann eigenvalue pi^2*n/k^2 of multiplicity N and check
   that the difference across the window has exactly N eigenvalues below
-  -delta.  The window must hold no other level: its lattice count
-  (``negative_eigenvalue_bound``) must equal N.  Equality is only
-  guaranteed for small enough windows, so a disagreeing first attempt
-  is retried once at half the width and both attempts are reported.
+  -delta.  Each attempt is one ``sweep`` row: it decides each window
+  end once, counts the window and measures it, and only then does
+  multiplicity(n) give N, which the count must equal (so a rejected
+  window has been solved once).  Equality is only guaranteed for small
+  enough windows, so a disagreeing first attempt is retried once at
+  half the width and both attempts are reported.
 
 All three consume :func:`difference_spectra`, the one experiment loop.
 It solves the grid in batches of points, with one
@@ -46,10 +48,11 @@ import numpy as np
 
 from .linalg import DEFAULT_DELTA, circulant_spectrum, count_negative
 from .nd_matrix import side_blocks
-# bench/layers.py wraps these two names in this namespace, so they stay
-# bound; the experiments use the block path above instead
+# bench/layers.py wraps these three names in this namespace, so they
+# stay bound; the experiments use the block path and sweep rows instead
 from .linalg import symmetric_eigenvalues  # noqa: F401
 from .nd_matrix import assemble  # noqa: F401
+from .spectrum import negative_eigenvalue_bound  # noqa: F401
 from .spectrum import (
     DEFAULT_GUARD,
     PI2,
@@ -58,7 +61,6 @@ from .spectrum import (
     _modes_below,
     is_resonant,
     multiplicity,
-    negative_eigenvalue_bound,
 )
 
 #: Next-side block entries P·J² per batch of grid points: a batch holds
@@ -325,18 +327,6 @@ def trajectories(
     ]
 
 
-def _measure_crossing(
-    c: float, eps: float, k: float, modes_per_side: int, delta: float,
-    guard: float,
-) -> int:
-    ((upper, eigs),) = difference_spectra(
-        c - eps, [c + eps], k, modes_per_side, guard
-    )
-    if eigs is None:
-        raise ResonanceError(f"crossing window end {upper!r} is resonant")
-    return count_negative(eigs, delta)
-
-
 def verify_crossing(
     n: int,
     eps: float = 0.1,
@@ -353,12 +343,14 @@ def verify_crossing(
     measurement is retried once at eps/2; both attempts appear in the
     report.
 
-    The window (c - eps, c + eps) must contain no other Neumann
-    eigenvalue (checked by the lattice count of the window, which must
-    equal multiplicity(n)) and eps must exceed the resonance guard.
-    k*k must be a finite positive normal float, since the level is
-    placed at pi^2*n/k^2.  The window is counted first, so a level past
-    the resonance decidability limit fails before multiplicity(n) runs.
+    Each attempt is one :func:`sweep` row over (c - width, c + width):
+    it decides each end once, counts the window and measures it.  The
+    first row's count must equal multiplicity(n), so the window holds no
+    other level, and eps must exceed the resonance guard.  k*k must be
+    a finite positive normal float, since the level is placed at
+    pi^2*n/k^2.  multiplicity(n) runs after the first row: a level past
+    the decidability limit fails before it, and a rejected window has
+    been solved once.
     """
     k2 = k * k
     if not (math.isfinite(k2) and k2 >= sys.float_info.min):
@@ -375,29 +367,35 @@ def verify_crossing(
         raise ValueError(
             f"pi^2*n overflows a float: n has {n.bit_length()} bits"
         ) from None
-    try:
-        inside = negative_eigenvalue_bound(c - eps, c + eps, k, guard)
-    except ResonanceError:
-        raise ResonanceError(
-            f"window around pi^2*{n}/k^2 with eps={eps} ends within the "
-            f"guard {guard} of a Neumann eigenvalue; change eps"
-        ) from None
-    expected = multiplicity(n)
-    if expected < 1:
-        raise ValueError(
-            f"n={n} is not a sum of two squares; pi^2*n is not a Neumann "
-            f"eigenvalue"
-        )
-    if inside != expected:
-        raise ValueError(
-            f"window around pi^2*{n}/k^2 with eps={eps} holds {inside} "
-            f"Neumann eigenvalues, not the {expected} of level {n}; "
-            f"shrink eps"
-        )
-
+    window = f"window around pi^2*{n}/k^2 with eps={eps}"
+    expected = None
     attempts = []
     for width in (eps, eps / 2.0):
-        measured = _measure_crossing(c, width, k, modes_per_side, delta, guard)
+        try:
+            (row,) = sweep(
+                c - width, [c + width], k, modes_per_side, delta, guard
+            )
+        except ResonanceError:  # the lower end, from its ProblemParams
+            row = None
+        if row is None or row.skipped:  # or the upper end
+            raise ResonanceError(
+                f"{window} ends within the guard {guard} of a Neumann "
+                f"eigenvalue; change eps"
+            )
+        if expected is None:
+            expected = multiplicity(n)
+            if expected < 1:
+                raise ValueError(
+                    f"n={n} is not a sum of two squares; pi^2*n is not a "
+                    f"Neumann eigenvalue"
+                )
+            if row.theoretical_bound != expected:
+                raise ValueError(
+                    f"{window} holds {row.theoretical_bound} Neumann "
+                    f"eigenvalues, not the {expected} of level {n}; "
+                    f"shrink eps"
+                )
+        measured = row.measured_negative
         attempts.append(CrossingAttempt(eps=width, measured=measured))
         if measured == expected:
             break

@@ -94,6 +94,27 @@ class TestSweep:
                     -10.0, r.b
                 )
 
+    def test_crossing_decides_each_window_end_once(self, monkeypatch):
+        # one sweep row per width: its lower end (ProblemParams) and its
+        # upper end are decided once each, and the row's bound is the
+        # window count
+        calls = []
+        decide = spectrum.is_resonant
+
+        def counted(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(spectrum, "is_resonant", counted)
+        monkeypatch.setattr(experiments, "is_resonant", counted)
+        verify_crossing(25, eps=0.05, modes_per_side=8)
+        assert len(calls) == 2
+        calls.clear()
+        # a threshold that the first width misses forces the retry
+        report = verify_crossing(1, eps=0.1, modes_per_side=30, delta=200.0)
+        assert len(report.attempts) == 2
+        assert len(calls) == 4
+
 
 class TestTrajectories:
     def test_equal_coefficients_give_zero_spectrum(self):
@@ -411,8 +432,9 @@ class TestVerifyCrossing:
     def test_resonant_window_end_names_it_and_solves_nothing(
         self, monkeypatch, one_cpu
     ):
-        # the window count accepts both ends; a decider that calls the
-        # upper end resonant must stop the measurement before its solve
+        # the window's one decider calls the upper end resonant: the row
+        # is skipped, so nothing is solved and the message names the
+        # window and its eps
         n, eps = 25, 0.05
         upper = PI2 * n + eps
         decide = experiments.is_resonant
@@ -425,7 +447,10 @@ class TestVerifyCrossing:
 
         monkeypatch.setattr(experiments, "is_resonant", resonant_upper)
         monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
-        message = f"crossing window end {upper!r} is resonant"
+        message = (
+            f"window around pi^2*{n}/k^2 with eps={eps} ends within the "
+            f"guard 1e-09 of a Neumann eigenvalue; change eps"
+        )
         with pytest.raises(ResonanceError, match=re.escape(message)):
             verify_crossing(n, eps=eps, modes_per_side=8)
 

@@ -6,7 +6,8 @@ point in ``pyproject.toml``, or be looked up by the benchmark's tracer
 (``bench/layers.py``).  A name only the tests use belongs in the tests,
 for instance in ``tests/oracles.py``.  Every name a ``src`` module
 imports must be used in that module, be re-exported in
-``ndsquare.__all__``, or sit on a ``# noqa: F401`` line.
+``ndsquare.__all__``, or sit on a ``# noqa: F401`` line, and a name
+imported on such a line must be one the benchmark's tracer looks up.
 """
 
 import ast
@@ -66,8 +67,8 @@ def test_every_definition_runs_in_the_package():
     assert test_only == [], "used only outside the package; move to tests"
 
 
-def test_every_import_is_used():
-    unused = []
+def _imports():
+    """(module, imported name, names the module loads, on a noqa line)."""
     for path in SOURCES:
         text = path.read_text()
         lines = text.splitlines()
@@ -80,10 +81,26 @@ def test_every_import_is_used():
                 continue
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
-                if (
-                    name not in loaded
-                    and name not in ndsquare.__all__
-                    and "# noqa: F401" not in lines[alias.lineno - 1]
-                ):
-                    unused.append(f"{path.stem}.{name}")
+                noqa = "# noqa: F401" in lines[alias.lineno - 1]
+                yield path.stem, name, loaded, noqa
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{module}.{name}"
+        for module, name, loaded, noqa in _imports()
+        if name not in loaded and name not in ndsquare.__all__ and not noqa
+    ]
     assert unused == [], "imported but never used; drop the import"
+
+
+def test_every_noqa_import_is_looked_up_by_the_bench():
+    # a noqa import is kept only for the tracer, so it cannot hide a
+    # dead import
+    lookups = _bench_lookups()
+    unlooked = [
+        f"{module}.{name}"
+        for module, name, _, noqa in _imports()
+        if noqa and name not in lookups
+    ]
+    assert unlooked == [], "noqa import the bench does not look up; drop it"
