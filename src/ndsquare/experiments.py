@@ -224,10 +224,7 @@ def difference_spectra(
     the fork, and exhausting, closing or dropping the iterator kills
     and reaps them.  Every yielded array is writable.
     """
-    try:
-        ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
-    except ResonanceError:
-        raise ResonanceError(f"base coefficient a={a!r} is resonant") from None
+    ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     if any(b < a for b in b_values):
         raise ValueError("b >= a is required at every grid point")
     resonant = [is_resonant(b, k, guard) for b in b_values]
@@ -276,6 +273,8 @@ def sweep(
     bound of a window with validated ends is the difference of the two
     lattice counts of ``negative_eigenvalue_bound``, 0 for b == a.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     reports: list[BoundReport] = []
     spectra = difference_spectra(a, b_values, k, modes_per_side, guard)
     modes_below_a = _modes_below(a * k * k)

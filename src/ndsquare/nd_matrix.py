@@ -46,12 +46,13 @@ double series over interior modes, which lives with the tests
 Poles of the closed forms (vanishing denominators, cot/csc poles and
 branch points) all correspond to a*k^2 hitting a Neumann eigenvalue
 pi^2*(l^2+m^2).  Resonance is therefore decided where a coefficient
-enters, by :func:`~ndsquare.spectrum.is_resonant` (which
-:class:`~ndsquare.spectrum.ProblemParams` applies), and a coefficient
-within the guard of a level raises
-:class:`~ndsquare.spectrum.ResonanceError` there.  ``side_blocks`` and
-``side_diagonals`` take a*k^2 of a validated coefficient and only
-evaluate: none of its denominators is zero and every entry is finite.
+enters, by the package's one resonance gate (which
+:class:`~ndsquare.spectrum.ProblemParams`, ``same_side_entry`` and
+``opposite_side_entry`` apply), and a coefficient within the guard of a
+level raises its :class:`~ndsquare.spectrum.ResonanceError` there.
+``side_blocks`` and ``side_diagonals`` take a*k^2 of a validated
+coefficient and only evaluate: none of its denominators is zero and
+every entry is finite.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .spectrum import (
     DEFAULT_GUARD,
     PI2,
     ProblemParams,
+    _checked_threshold,
 )
 
 #: Threshold above which csch(x)/x is evaluated as 2*exp(-x)/x, since
@@ -87,12 +89,10 @@ def same_side_entry(
 ) -> float:
     """Diagonal entry coupling boundary mode i of a side to itself.
 
-    ``side_diagonals(i, a*k*k)[0]`` for a validated coefficient: a
-    resonant (a, k) raises :class:`ResonanceError` from
-    :class:`ProblemParams`.
+    ``side_diagonals(i, a*k*k)[0]`` for a coefficient the resonance
+    gate accepts; a resonant (a, k) raises its :class:`ResonanceError`.
     """
-    ProblemParams(a=a, k=k, guard=guard)
-    return float(side_diagonals(i, a * k * k)[0])
+    return float(side_diagonals(i, _checked_threshold(a, k, guard))[0])
 
 
 def opposite_side_entry(
@@ -100,12 +100,11 @@ def opposite_side_entry(
 ) -> float:
     """Diagonal entry coupling boundary mode i of a side to the opposite side.
 
-    ``side_diagonals(i, a*k*k)[1]`` for a validated coefficient, the
-    sign (-1)^i included; a resonant (a, k) raises as in
-    :func:`same_side_entry`.
+    ``side_diagonals(i, a*k*k)[1]`` for a coefficient the resonance
+    gate accepts, the sign (-1)^i included; a resonant (a, k) raises as
+    in :func:`same_side_entry`.
     """
-    ProblemParams(a=a, k=k, guard=guard)
-    return float(side_diagonals(i, a * k * k)[1])
+    return float(side_diagonals(i, _checked_threshold(a, k, guard))[1])
 
 
 def side_diagonals(
@@ -145,8 +144,8 @@ def side_diagonals(
     eigenvalues it does not have.
 
     This is pure evaluation.  The poles c = 0 and sqrt(-c) in pi*N are
-    resonances of the coefficient, which :class:`ProblemParams` has
-    already refused; a validated coefficient gives finite values.
+    resonances of the coefficient, which the resonance gate has already
+    refused; a validated coefficient gives finite values.
     """
     # both series in one pass: they share the square roots, the sines
     # and the near-level split
@@ -327,7 +326,12 @@ def dumps_matrix(nd: NdMatrix) -> str:
 
 
 def load_matrix(stream: TextIO) -> NdMatrix:
-    """Parse the dump format back into an :class:`NdMatrix`."""
+    """Parse the dump format back into an :class:`NdMatrix`.
+
+    The header does not record the writer's guard, so resonance is
+    decided at the next float above ``math.ulp(a*k*k)``, which no guard
+    a positive a*k^2 is written with falls below.
+    """
     header = stream.readline().split()
     if len(header) != 4:
         raise ValueError(f"malformed dump header: {header!r}")
@@ -341,5 +345,8 @@ def load_matrix(stream: TextIO) -> NdMatrix:
         raise ValueError(
             f"expected a {n}x{n} matrix, got shape {entries.shape}"
         )
-    params = ProblemParams(a=a, k=k, modes_per_side=n // 4)
+    ak2 = a * k * k
+    finite = math.isfinite(ak2)  # else any guard lets ProblemParams name it
+    guard = math.nextafter(math.ulp(ak2), math.inf) if finite else 1.0
+    params = ProblemParams(a=a, k=k, modes_per_side=n // 4, guard=guard)
     return NdMatrix(entries=entries, params=params)

@@ -20,7 +20,8 @@ normalization (which rescales magnitudes but not signs) is omitted.
 expressions over blocks of lattice rows.  They are IEEE sums, products
 and quotients in the scalar order, so every sign is bit for bit the one
 ``solution_diff_coefficient`` gives, and the blocks keep memory flat in
-the cutoff.  Resonance is decided once per coefficient, by
+the cutoff.  Resonance is decided once per coefficient, by the one gate
+``_checked_threshold``, which applies
 :func:`~ndsquare.spectrum.is_resonant`: each block's levels are
 ``PI2 * (l*l + m*m)``, the very expression that function scans, so a
 window with accepted ends holds no mode within the guard of either end
@@ -36,8 +37,10 @@ from .spectrum import (
     PI2,
     ModeIndex,
     ResonanceError,
-    is_resonant,
+    _checked_threshold,
 )
+# bench/layers.py wraps is_resonant in this namespace, so it stays bound
+from .spectrum import is_resonant  # noqa: F401
 
 #: Largest number of lattice modes ``exact_negative_count`` evaluates
 #: at once (whole rows, at least one).
@@ -95,9 +98,8 @@ def exact_negative_count(
     Every sign change happens at a mode with pi^2*(l^2+m^2) < b*k^2, so
     the count is exact (and equals the lattice bound) once
     pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``.
-    A resonant a or b (see :func:`~ndsquare.spectrum.is_resonant`)
-    raises :class:`ResonanceError`; once both are accepted, no mode lies
-    within the guard of a*k^2 or b*k^2.
+    A resonant a or b raises the gate's :class:`ResonanceError`; once
+    both are accepted, no mode lies within the guard of a*k^2 or b*k^2.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got a={a}, b={b}")
@@ -109,11 +111,8 @@ def exact_negative_count(
             f"{PI2 * mode_cutoff**2:.6g} <= b*k^2 = {b * k * k:.6g}; "
             f"sign changes could fall outside the enumerated window"
         )
-    for label, coeff in (("a", a), ("b", b)):
-        if is_resonant(coeff, k, guard):
-            raise ResonanceError(
-                f"coefficient {label}={coeff!r} is resonant for k={k!r}"
-            )
+    for coeff in (a, b):
+        _checked_threshold(coeff, k, guard)
     side = mode_cutoff + 1
     m_sq = np.arange(side) ** 2
     rows = max(1, BLOCK_MODES // side)

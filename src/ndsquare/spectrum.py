@@ -21,12 +21,12 @@ A pair (a, k) is *resonant* when a*k^2 coincides with some
 pi^2*(l^2+m^2): the Neumann problem is then not uniquely solvable and
 every counting operation is ill-posed.  Floating-point equality is
 meaningless, so resonance means "within ``guard`` of an eigenvalue"
-(default ``DEFAULT_GUARD``); counting operations raise
-:class:`ResonanceError` for such inputs instead of silently picking a
-side of the window edge.  Where resonance cannot be decided (a
-non-finite input, a float spacing of a*k^2 that reaches the guard, or a
-scan of the levels within the guard that would take more than
-``RESONANCE_SCAN_STEPS`` lattice steps), ``is_resonant`` raises
+(default ``DEFAULT_GUARD``); the one gate ``_checked_threshold`` refuses
+such a coefficient with one :class:`ResonanceError` message instead of
+silently picking a side of the window edge.  Where resonance cannot be
+decided (a non-finite input, a float spacing of a*k^2 that reaches the
+guard, or a scan of the levels within the guard that would take more
+than ``RESONANCE_SCAN_STEPS`` lattice steps), ``is_resonant`` raises
 ``ValueError``; so does a count of more than that many lattice rows.
 """
 
@@ -96,12 +96,7 @@ class ProblemParams:
                 f"modes_per_side must be >= 1, got {self.modes_per_side}"
             )
         # is_resonant refuses a k or a guard that is not positive
-        if is_resonant(self.a, self.k, self.guard):
-            raise ResonanceError(
-                f"a*k^2 = {self.a * self.k * self.k!r} is within "
-                f"{self.guard} of a Neumann eigenvalue pi^2*(l^2+m^2); the "
-                f"Neumann problem is ill-posed"
-            )
+        _checked_threshold(self.a, self.k, self.guard)
 
     @property
     def size(self) -> int:
@@ -177,11 +172,12 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     return False
 
 
-def _checked_threshold(a: float, k: float, guard: float, label: str) -> float:
+def _checked_threshold(a: float, k: float, guard: float) -> float:
     if is_resonant(a, k, guard):
         raise ResonanceError(
-            f"{label}: a*k^2 = {a * k * k!r} is within {guard} of a Neumann "
-            f"eigenvalue; the count is ill-posed"
+            f"a*k^2 = {a * k * k!r} is within {guard} of a Neumann "
+            f"eigenvalue pi^2*(l^2+m^2): the coefficient is resonant and "
+            f"the Neumann problem is ill-posed"
         )
     return a * k * k
 
@@ -218,9 +214,7 @@ def positive_eigenvalue_count(
     multiplicity.  Raises :class:`ResonanceError` when (a, k) is
     resonant, since the strict inequality is then meaningless.
     """
-    return _modes_below(
-        _checked_threshold(a, k, guard, "positive_eigenvalue_count")
-    )
+    return _modes_below(_checked_threshold(a, k, guard))
 
 
 def negative_eigenvalue_bound(
@@ -237,8 +231,8 @@ def negative_eigenvalue_bound(
     ``guard`` of either end raises :class:`ResonanceError` rather than
     being silently included or excluded.
     """
-    lo = _checked_threshold(a, k, guard, "negative_eigenvalue_bound (a)")
-    hi = _checked_threshold(b, k, guard, "negative_eigenvalue_bound (b)")
+    lo = _checked_threshold(a, k, guard)
+    hi = _checked_threshold(b, k, guard)
     if not a < b:
         raise ValueError(f"window requires a < b, got a={a}, b={b}")
     return _modes_below(hi) - _modes_below(lo)

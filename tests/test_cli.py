@@ -431,6 +431,32 @@ class TestAssembleDumpCommand:
         direct = assemble(ProblemParams(a=-1.0, k=1.0, modes_per_side=2))
         np.testing.assert_array_equal(loaded.entries, direct.entries)
 
+    @pytest.mark.parametrize("a, k, guard", [
+        (49.348022005946795, 1.0, 1e-12),  # 5*pi^2 + 5e-10
+        (12.337005501486699, 2.0, 1e-12),  # the same a*k^2 at k = 2
+        (5 * PI2 + 2e-3, 1.0, 1e-3),
+        (8e6, 1.0, 1e-9),
+        (-1e20, 1.0, 1e-9),
+    ])
+    def test_dump_written_at_any_guard_loads(
+        self, tmp_path, capsys, a, k, guard
+    ):
+        # the header holds no guard; the loader decides resonance at the
+        # float spacing of a*k^2, which no writer's guard falls below
+        path = tmp_path / "matrix.txt"
+        code, _, err = run(
+            capsys, "assemble-dump", "--a", repr(a), "--k", repr(k),
+            "--size", "8", "--guard", repr(guard), "--out", str(path),
+        )
+        assert (code, err) == (0, "")
+        with open(path, encoding="utf-8") as fh:
+            loaded = load_matrix(fh)
+        direct = assemble(
+            ProblemParams(a=a, k=k, modes_per_side=2, guard=guard)
+        )
+        np.testing.assert_array_equal(loaded.entries, direct.entries)
+        assert (loaded.params.a, loaded.params.k) == (a, k)
+
     def test_series_oracle_dump(self, capsys):
         # the dump is the closed-form matrix; the series oracle is a
         # test reference, not an assembly path of the command

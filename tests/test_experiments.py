@@ -4,6 +4,7 @@ Matrix sizes here are kept small for speed; the full-scale runs live in
 the acceptance suite.
 """
 
+import math
 import os
 import re
 import threading
@@ -46,6 +47,22 @@ class TestSweep:
     def test_rejects_b_below_a(self):
         with pytest.raises(ValueError):
             sweep(-10.0, [-11.0], modes_per_side=10)
+
+    @pytest.mark.parametrize("b, delta", [(5.0, -1.0), (0.0, math.nan)])
+    def test_bad_delta_fails_before_any_eigensolve(
+        self, monkeypatch, one_cpu, b, delta
+    ):
+        # b = 5 is a row to solve, b = 0 a level that is skipped: delta
+        # is refused before either, and a crossing inherits the check
+        def refuse(*blocks):
+            raise AssertionError("circulant_spectrum was called")
+
+        monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+        message = re.escape(f"delta must be positive, got {delta}")
+        with pytest.raises(ValueError, match=message):
+            sweep(-10.0, [b], modes_per_side=8, delta=delta)
+        with pytest.raises(ValueError, match=message):
+            verify_crossing(25, eps=0.05, modes_per_side=8, delta=delta)
 
     def test_bound_inequality_and_monotone_bound(self):
         b_values = [float(b) for b in range(-9, 25)]

@@ -684,6 +684,15 @@ class TestDumpFormat:
         with pytest.raises(ValueError):
             load_matrix(io.StringIO("4 1 -1 monte_carlo\n0 0 0 0\n" * 4))
 
+    @pytest.mark.parametrize("a", ["nan", "inf", "-inf"])
+    def test_load_names_a_non_finite_coefficient(self, a):
+        # the loader's guard follows a*k^2, but a non-finite one is
+        # still refused for what it is
+        text = f"4 1 {a} closed_form\n" + "0 0 0 0\n" * 4
+        message = f"a*k^2 = {float(a)!r} (a={float(a)!r}, k=1.0) is not a"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_matrix(io.StringIO(text))
+
     def test_load_rejects_a_size_not_divisible_by_4(self):
         text = "6 1 -1 closed_form\n" + "0 0 0 0 0 0\n" * 6
         with pytest.raises(ValueError, match="6 is not divisible by 4"):

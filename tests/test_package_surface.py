@@ -8,6 +8,9 @@ for instance in ``tests/oracles.py``.  Every name a ``src`` module
 imports must be used in that module, be re-exported in
 ``ndsquare.__all__``, or sit on a ``# noqa: F401`` line, and a name
 imported on such a line must be one the benchmark's tracer looks up.
+A resonant coefficient is refused in one place, so ``ResonanceError``
+is raised only by the gate and the two checks with messages of their
+own.
 """
 
 import ast
@@ -104,3 +107,26 @@ def test_every_noqa_import_is_looked_up_by_the_bench():
         if noqa and name not in lookups
     ]
     assert unlooked == [], "noqa import the bench does not look up; drop it"
+
+
+#: The only top-level definitions of src that build a ResonanceError:
+#: the gate, the crossing window's "change eps" message and the
+#: per-mode check of one coefficient
+RESONANCE_RAISERS = {
+    "spectrum._checked_threshold",
+    "experiments.verify_crossing",
+    "solution_op.solution_diff_coefficient",
+}
+
+
+def test_resonance_is_refused_only_by_the_gate():
+    raisers = [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "ResonanceError" in _used_names(node.func)
+    ]
+    second_gates = [name for name in raisers if name not in RESONANCE_RAISERS]
+    assert second_gates == [], "refuse resonance through _checked_threshold"

@@ -17,6 +17,7 @@ from ndsquare.spectrum import (
     DEFAULT_GUARD,
     PI2,
     ResonanceError,
+    _checked_threshold,
     is_resonant,
     negative_eigenvalue_bound,
 )
@@ -150,16 +151,18 @@ class TestBlockedCount:
 
     @pytest.mark.parametrize("label", ["a", "b"])
     def test_resonant_mode_message_matches_the_scalar_loop(self, label):
-        # is_resonant refuses the coefficient before any block is built;
-        # the message names the same coefficient as the scalar loop's
+        # the resonance gate refuses the coefficient before any block is
+        # built, with its own message; the scalar loop names the mode
         level = PI2 * 5  # modes (1, 2) and (2, 1)
         a, b = (level, 200.0) if label == "a" else (-10.0, level)
         with pytest.raises(ResonanceError) as blocked:
             exact_negative_count(a, b, 1.0, 200)
         with pytest.raises(ResonanceError) as scalar:
             scalar_negative_count(a, b, 1.0, 200)
+        with pytest.raises(ResonanceError) as gate:
+            _checked_threshold(level, 1.0, DEFAULT_GUARD)
         named = f"coefficient {label}={level!r}"
-        assert str(blocked.value) == f"{named} is resonant for k=1.0"
+        assert str(blocked.value) == str(gate.value)
         assert str(scalar.value) == f"mode (1, 2) is resonant for {named}"
 
     @given(

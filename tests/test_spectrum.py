@@ -8,6 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndsquare import spectrum
+from ndsquare.experiments import sweep, trajectories
+from ndsquare.linalg import difference_truncation_error
+from ndsquare.nd_matrix import opposite_side_entry, same_side_entry
+from ndsquare.solution_op import exact_negative_count
 from ndsquare.spectrum import (
     ModeIndex,
     ProblemParams,
@@ -315,3 +319,66 @@ class TestProblemParams:
         params = ProblemParams(a=-1.0)
         with pytest.raises(AttributeError):
             params.a = 2.0
+
+
+#: 5*pi^2, the level of modes (1, 2) and (2, 1)
+LEVEL_5 = 5 * PI2
+
+
+class TestOneResonanceMessage:
+    @pytest.mark.parametrize("refuse", [
+        pytest.param(lambda: ProblemParams(a=LEVEL_5), id="ProblemParams"),
+        pytest.param(
+            lambda: positive_eigenvalue_count(LEVEL_5),
+            id="positive_eigenvalue_count",
+        ),
+        pytest.param(
+            lambda: negative_eigenvalue_bound(LEVEL_5, 200.0),
+            id="negative_eigenvalue_bound-a",
+        ),
+        pytest.param(
+            lambda: negative_eigenvalue_bound(-10.0, LEVEL_5),
+            id="negative_eigenvalue_bound-b",
+        ),
+        pytest.param(
+            lambda: exact_negative_count(LEVEL_5, 200.0, 1.0, 200),
+            id="exact_negative_count-a",
+        ),
+        pytest.param(
+            lambda: exact_negative_count(-10.0, LEVEL_5, 1.0, 200),
+            id="exact_negative_count-b",
+        ),
+        pytest.param(
+            lambda: sweep(LEVEL_5, [60.0], modes_per_side=4), id="sweep"
+        ),
+        pytest.param(
+            lambda: trajectories(LEVEL_5, [60.0], modes_per_side=4),
+            id="trajectories",
+        ),
+        pytest.param(
+            lambda: difference_truncation_error(
+                LEVEL_5, 200.0, modes_per_side=4
+            ),
+            id="difference_truncation_error-a",
+        ),
+        pytest.param(
+            lambda: difference_truncation_error(
+                -10.0, LEVEL_5, modes_per_side=4
+            ),
+            id="difference_truncation_error-b",
+        ),
+        pytest.param(lambda: same_side_entry(0, LEVEL_5), id="same_side_entry"),
+        pytest.param(
+            lambda: opposite_side_entry(0, LEVEL_5), id="opposite_side_entry"
+        ),
+    ])
+    def test_every_entry_point_gives_the_gate_message(self, refuse):
+        # one gate refuses every resonant coefficient, so every entry
+        # point says the same words about it
+        with pytest.raises(ResonanceError) as refused:
+            refuse()
+        assert str(refused.value) == (
+            f"a*k^2 = {LEVEL_5!r} is within 1e-09 of a Neumann eigenvalue "
+            f"pi^2*(l^2+m^2): the coefficient is resonant and the Neumann "
+            f"problem is ill-posed"
+        )
