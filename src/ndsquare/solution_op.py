@@ -16,8 +16,8 @@ negative coefficients reproduces the lattice bound of
 independent route.  Only signs are consumed downstream, so the H^1
 normalization (which rescales magnitudes but not signs) is omitted.
 
-``exact_negative_count`` evaluates the coefficients as array
-expressions over blocks of lattice rows.  They are IEEE sums, products
+``exact_negative_count`` evaluates the coefficients over blocks of
+lattice rows, in place in two buffers.  They are IEEE sums, products
 and quotients in the scalar order, so every sign is bit for bit the one
 ``solution_diff_coefficient`` gives, and the blocks keep memory flat in
 the cutoff.  Resonance is decided once per coefficient, by the one gate
@@ -76,11 +76,7 @@ def solution_diff_coefficient(
                 f"mode ({l}, {m}) is resonant for coefficient "
                 f"{label}={coeff!r}"
             )
-    return _diff_coefficient(embedding_eigenvalue(mode), a, b, k)
-
-
-def _diff_coefficient(lam, a: float, b: float, k: float):
-    # the coefficient at embedding eigenvalue lam, a float or an array
+    lam = embedding_eigenvalue(mode)
     return 1.0 / (1.0 - (1.0 + b * k * k) * lam) - 1.0 / (
         1.0 - (1.0 + a * k * k) * lam
     )
@@ -116,10 +112,20 @@ def exact_negative_count(
     side = mode_cutoff + 1
     m_sq = np.arange(side) ** 2
     rows = max(1, BLOCK_MODES // side)
+    # every block is evaluated in place in the same two buffers: a new
+    # block-sized array per operation made glibc trim and regrow the heap
+    buffers = np.empty((2, rows, side))
     count = 0
     for first_l in range(0, side, rows):
         l = np.arange(first_l, min(first_l + rows, side))
-        level = PI2 * np.add.outer(l * l, m_sq)
-        lam = 1.0 / (1.0 + level)
-        count += int(np.count_nonzero(_diff_coefficient(lam, a, b, k) < 0.0))
+        lam, hi = buffers[:, :len(l)]
+        np.add.outer(l * l, m_sq, out=lam)
+        lam *= PI2
+        lam += 1.0
+        np.divide(1.0, lam, out=lam)
+        for coeff, out in ((b, hi), (a, lam)):
+            np.multiply(1.0 + coeff * k * k, lam, out=out)
+            np.subtract(1.0, out, out=out)
+            np.divide(1.0, out, out=out)
+        count += int(np.count_nonzero(np.subtract(hi, lam, out=hi) < 0.0))
     return count
