@@ -113,7 +113,7 @@ def exact_negative_count(
     m_sq = np.arange(side) ** 2
     rows = max(1, BLOCK_MODES // side)
     # every block is evaluated in place in the same two buffers: a new
-    # block-sized array per operation made glibc trim and regrow the heap
+    # block-sized array per operation makes glibc trim and regrow the heap
     buffers = np.empty((2, rows, side))
     count = 0
     for first_l in range(0, side, rows):
