@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
+import os
 import re
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import experiments, linalg, nd_matrix
 from .spectrum import (
@@ -222,23 +224,22 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
         )
         _emit((_json_dumps([dataclasses.asdict(p) for p in points]),), args.out)
         return 0
-    # every b is decided here, before a byte is written
-    spectra = experiments.difference_spectra(
-        args.a, b_values, args.k, j_modes, args.guard
-    )
     # one template fills the 4J rows of a point at once; %.17g gives
     # the bytes of _fmt, -0, inf and nan included
     template = "".join(f"%s,{idx},%.17g\n" for idx in range(4 * j_modes))
 
-    def chunks() -> Iterator[str]:
-        yield TRAJECTORIES_CSV_HEADER + "\n"
-        for b, eigs in spectra:
-            if eigs is not None:
-                fields = [_fmt(b)] * (8 * j_modes)
-                fields[1::2] = eigs.tolist()
-                yield template % tuple(fields)
+    def render(b: float, eigs) -> str:
+        fields = [_fmt(b)] * (8 * j_modes)
+        fields[1::2] = eigs.tolist()
+        return template % tuple(fields)
 
-    _emit(chunks(), args.out)
+    # every b is decided here, before a byte is written; each batch
+    # comes rendered by the process that solved it
+    batches = experiments.difference_spectra(
+        args.a, b_values, args.k, j_modes, args.guard, render
+    )
+    header = TRAJECTORIES_CSV_HEADER + "\n"
+    _emit(itertools.chain([header], batches), args.out)
     return 0
 
 
@@ -332,7 +333,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        return _COMMANDS[args.command](args.parser, args)
+        code = _COMMANDS[args.command](args.parser, args)
+        # a reader of stdout that has gone fails here, not at exit
+        sys.stdout.flush()
+        return code
     # ResonanceError is a ValueError; MemoryError is a --size too large
     # to allocate
     except (ValueError, OSError, MemoryError) as exc:
@@ -341,7 +345,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # main has reported it; what is still buffered goes to
+        # /dev/null, so the flush at exit does not fail once more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,13 @@ It solves the grid in batches of points, with one
 :func:`~ndsquare.nd_matrix.side_blocks` and one
 :func:`~ndsquare.linalg.circulant_spectrum` call per batch, and hands
 each spectrum on in grid order as soon as its batch is solved, so a
-consumer that streams (the CLI's ``trajectories`` CSV writer) holds
-one batch at a time.  On Linux, in a process with one thread, forked
-helper processes solve every W-th batch on the other CPUs of the
-affinity mask and pipe the float64 spectra back as raw bytes
+consumer that streams holds one batch at a time.  A consumer that only
+formats the spectra (the CLI's ``trajectories`` CSV writer) passes a
+``render`` function instead and gets each batch as text.  On Linux, in
+a process with one thread, forked helper processes solve every W-th
+batch on the other CPUs of the affinity mask and pipe each batch back
+as one length-prefixed frame: its float64 spectra as raw bytes, or its
+rendered text, so the formatting runs where the batch was solved
 (``numpy.linalg.eigvalsh`` holds the GIL, so threads would not
 overlap); elsewhere the loop is serial.  The dense 4J×4J matrix is
 never formed, and the outputs are deterministic functions of the
@@ -42,7 +45,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,20 +145,24 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _solved(solve, batches: list, order: int) -> Iterator[np.ndarray]:
-    """Yield ``solve(batch)`` of shape (len(batch), order) for each batch.
+def _solved(work, batches: list, receive) -> Iterator:
+    """Yield ``work(batch)``, a float64 array or a str, for each batch.
 
     With W = min(:func:`_cpu_count`, number of batches), the first
-    next() forks W - 1 helpers.  Helper w solves batches w, w + W, ...
-    and writes each float64 result as raw bytes to its own pipe; it
-    leaves by ``os._exit``, so it never returns into the caller's stack
-    and flushes no inherited buffer.  This process solves batches 0, W,
-    2W, ... itself and reads the others in order, so each result has
-    the bits of its serial solve and no more processes solve than there
-    are CPUs.  If a helper's stream ends early (or it could not be
-    forked), this process solves the rest of its batches, so a failure
-    there ends as the serial path's own result or exception.  On every
-    exit the read ends are closed and every helper is killed and reaped.
+    next() forks W - 1 helpers.  Helper w does batches w, w + W, ...
+    and sends each result through its own pipe as one frame: the
+    payload's byte count in 8 little-endian bytes, then the payload, an
+    array's float64 bytes or a str's UTF-8 text.  It leaves by
+    ``os._exit``, so it never returns into the caller's stack and
+    flushes no inherited buffer.  This process does batches 0, W, 2W,
+    ... itself, without serializing them, and reads the others in
+    order: ``receive(reader, nbytes)`` reads a payload and returns the
+    result, or None if the stream ends first.  So each result has the
+    bits of its serial run and no more processes work than there are
+    CPUs.  If a helper's stream ends early (or it could not be forked),
+    this process does the rest of its batches, so a failure there ends
+    as the serial path's own result or exception.  On every exit the
+    read ends are closed and every helper is killed and reaped.
     """
     workers = min(_cpu_count(), len(batches))
     pids, readers = [], {}
@@ -164,7 +171,7 @@ def _solved(solve, batches: list, order: int) -> Iterator[np.ndarray]:
             fd_read, fd_write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # out of processes: w's batches are solved here
+            except OSError:  # out of processes: w's batches are done here
                 os.close(fd_read)
                 os.close(fd_write)
                 continue
@@ -175,7 +182,13 @@ def _solved(solve, batches: list, order: int) -> Iterator[np.ndarray]:
                         reader.close()
                     with open(fd_write, "wb") as out:
                         for batch in batches[w::workers]:
-                            out.write(solve(batch).tobytes())
+                            result = work(batch)
+                            payload = (
+                                result.encode() if isinstance(result, str)
+                                else result.tobytes()
+                            )
+                            out.write(len(payload).to_bytes(8, "little"))
+                            out.write(payload)
                             out.flush()
                 finally:
                     os._exit(0)
@@ -185,12 +198,14 @@ def _solved(solve, batches: list, order: int) -> Iterator[np.ndarray]:
         for i, batch in enumerate(batches):
             reader = readers.get(i % workers)
             if reader is not None:
-                eigs = np.empty((len(batch), order))
-                if reader.readinto(eigs) == eigs.nbytes:
-                    yield eigs
-                    continue
+                header = reader.read(8)
+                if len(header) == 8:
+                    result = receive(reader, int.from_bytes(header, "little"))
+                    if result is not None:
+                        yield result
+                        continue
                 readers.pop(i % workers).close()
-            yield solve(batch)
+            yield work(batch)
     finally:
         for reader in readers.values():
             reader.close()
@@ -199,13 +214,19 @@ def _solved(solve, batches: list, order: int) -> Iterator[np.ndarray]:
             os.waitpid(pid, 0)
 
 
+def _read_text(reader, nbytes: int) -> str | None:
+    payload = reader.read(nbytes)
+    return payload.decode() if len(payload) == nbytes else None
+
+
 def difference_spectra(
     a: float,
     b_values: Sequence[float],
     k: float,
     modes_per_side: int,
     guard: float,
-) -> Iterator[tuple[float, np.ndarray | None]]:
+    render: Callable[[float, np.ndarray], str] | None = None,
+) -> Iterator[tuple[float, np.ndarray | None]] | Iterator[str]:
     """Iterate (b, descending spectrum of Λ(b) − Λ(a)) in grid order.
 
     The spectrum is None for a resonant b.  Before this returns, a and
@@ -219,6 +240,12 @@ def difference_spectra(
     is yielded as soon as its batch is solved and is bit for bit the
     spectrum of that b alone.  No 4J×4J matrix is formed.
 
+    With ``render``, each batch is yielded instead as one str, the
+    ``render(b, spectrum)`` of its valid points joined in grid order,
+    and a resonant b renders nothing.  The process that solves a batch
+    renders it, so the formatting is spread over the CPUs with the
+    solves.
+
     The first next() spreads the batches over the CPUs (see
     :func:`_solved`); the helper processes get the base blocks through
     the fork, and exhausting, closing or dropping the iterator kills
@@ -229,21 +256,32 @@ def difference_spectra(
         raise ValueError("b >= a is required at every grid point")
     resonant = [is_resonant(b, k, guard) for b in b_values]
     base = side_blocks(a * k * k, modes_per_side)
-    ak2 = np.array(
-        [b * k * k for b, skip in zip(b_values, resonant) if not skip]
-    )
+    valid = [b for b, skip in zip(b_values, resonant) if not skip]
+    ak2 = np.array([b * k * k for b in valid])
     size = max(1, BATCH_ENTRIES // modes_per_side**2)
+    batches = [
+        slice(start, start + size) for start in range(0, len(valid), size)
+    ]
 
-    def solve(batch: np.ndarray) -> np.ndarray:
-        blocks = side_blocks(batch, modes_per_side)
+    def solve(batch: slice) -> np.ndarray:
+        blocks = side_blocks(ak2[batch], modes_per_side)
         for block, base_block in zip(blocks, base):
             block -= base_block
         return circulant_spectrum(*blocks)
 
-    batches = [ak2[start:start + size] for start in range(0, len(ak2), size)]
+    if render is not None:
+        return _solved(
+            lambda batch: "".join(map(render, valid[batch], solve(batch))),
+            batches, _read_text,
+        )
+
+    def read_spectra(reader, nbytes: int) -> np.ndarray | None:
+        eigs = np.empty(nbytes // 8).reshape(-1, 4 * modes_per_side)
+        return eigs if reader.readinto(eigs) == nbytes else None
+
     spectra = (
         eigs
-        for solved in _solved(solve, batches, 4 * modes_per_side)
+        for solved in _solved(solve, batches, read_spectra)
         for eigs in solved
     )
     return (

@@ -6,14 +6,18 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ndsquare
 from ndsquare import experiments, linalg, nd_matrix
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.experiments import trajectories
@@ -316,38 +320,42 @@ class TestTrajectoriesCommand:
         # 100 points at size 400, streamed in batches of 6 points, peak
         # at about 1.6 MB; kept to the end and written one by one they
         # peaked at about 2.8 MB, joined into one string at about 5.2 MB
-        argv = [
-            "trajectories", "--a", "-10", "--b-min", "-9", "--b-max", "15.75",
-            "--b-step", "0.25", "--size", "400", "--out", os.devnull,
-        ]
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 4_000_000
+        assert _csv_peak("15.75") < 4_000_000
+
+    def test_csv_peak_memory_on_two_cpus(self, two_cpus):
+        # this process also holds each batch the helper rendered, as
+        # the bytes of its frame and then as text
+        assert _csv_peak("15.75") < 4_000_000
 
     def test_csv_peak_memory_is_flat_in_grid_length(self):
         # about 1.6 MB at both 100 and 400 points; kept to the end, the
         # points peaked at about 2.8 and 10 MB.  A first short run takes
         # the one-time allocations out of the comparison.
-        peaks = []
-        for b_max in ("-9", "15.75", "90.75"):
-            tracemalloc.start()
-            try:
-                code = main([
-                    "trajectories", "--a", "-10", "--b-min", "-9",
-                    "--b-max", b_max, "--b-step", "0.25", "--size", "400",
-                    "--out", os.devnull,
-                ])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-        short, long = peaks[1:]
+        _csv_peak("-9")
+        short, long = _csv_peak("15.75"), _csv_peak("90.75")
         assert abs(long - short) < 0.1 * short
+
+    def test_csv_peak_memory_is_flat_in_grid_length_on_two_cpus(
+        self, two_cpus
+    ):
+        _csv_peak("-9")
+        short, long = _csv_peak("15.75"), _csv_peak("90.75")
+        assert abs(long - short) < 0.1 * short
+
+
+def _csv_peak(b_max):
+    """Peak traced memory of a step-0.25 trajectories CSV run at size 400."""
+    tracemalloc.start()
+    try:
+        code = main([
+            "trajectories", "--a", "-10", "--b-min", "-9", "--b-max", b_max,
+            "--b-step", "0.25", "--size", "400", "--out", os.devnull,
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
 
 
 class TestCrossingCommand:
@@ -703,6 +711,59 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     assert err.startswith("ndsquare sweep:")
     assert err.count("\n") == 1
     assert not path.exists()
+
+
+#: Runs the console script on two CPUs, then reports on stderr a run
+#: that forked no helper or left a child process behind.
+_NO_CHILD_LEFT = """\
+import os, sys
+from ndsquare import cli, experiments
+experiments._cpu_count = lambda: 2
+fork, forked = os.fork, []
+def recorded():
+    forked.append(fork())
+    return forked[-1]
+os.fork = recorded
+try:
+    cli.console_entry()
+except SystemExit as exc:
+    code = exc.code
+if not forked:
+    sys.stderr.write("no helper was forked\\n")
+try:
+    os.waitpid(-1, os.WNOHANG)
+    sys.stderr.write("a child process is left\\n")
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+def test_closed_pipe_exits_2_with_one_line_and_no_child():
+    # the reader is gone before the first byte.  stdout is buffered, as
+    # in a shell pipeline, so the header waits in the buffer and the
+    # first write fails with the first batch, while the helper is still
+    # solving; the interpreter's flush at exit must add nothing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(ndsquare.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", _NO_CHILD_LEFT, "trajectories",
+                "--a", "-10", "--b-min", "-9", "--b-max", "20",
+                "--b-step", "0.25", "--size", "400",
+            ],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("ndsquare trajectories: ")
+    assert "Broken pipe" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

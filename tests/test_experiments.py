@@ -277,6 +277,61 @@ def forks(monkeypatch):
     return pids
 
 
+def _render(b, eigs):
+    # every bit of every eigenvalue, and a character of two UTF-8
+    # bytes, so a frame's length in bytes differs from its length in
+    # characters
+    return f"λ={b!r}:" + ",".join(map(float.hex, eigs.tolist())) + "\n"
+
+
+def _rendered(b_values, modes_per_side):
+    return list(
+        experiments.difference_spectra(
+            -10.0, b_values, 1.0, modes_per_side, 1e-9, _render
+        )
+    )
+
+
+def _one_cpu_text(monkeypatch, b_values, modes_per_side):
+    """The spectra of the serial loop, rendered here point by point;
+    leaves the solve on one CPU."""
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+    return "".join(
+        _render(b, eigs)
+        for b, eigs in _spectra(b_values, modes_per_side)
+        if eigs is not None
+    )
+
+
+class _DiesAfter:
+    """A helper's write end that exits the helper after ``budget`` bytes.
+
+    Installed through ``experiments.open``, which the helper calls to
+    open its end of the pipe.
+    """
+
+    def __init__(self, out, budget):
+        self.out, self.budget = out, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.out.close()
+
+    def write(self, data):
+        data = bytes(data)
+        if len(data) >= self.budget:
+            self.out.write(data[:self.budget])
+            self.out.flush()
+            os._exit(1)
+        self.budget -= len(data)
+        return self.out.write(data)
+
+    def flush(self):
+        self.out.flush()
+
+
 class TestParallelSolve:
     # two processes solve, whatever the CPUs of the host; the one-CPU
     # loop is the reference, bit for bit
@@ -382,6 +437,111 @@ class TestParallelSolve:
             with pytest.raises(Stop):
                 for _ in experiments.difference_spectra(
                     -10.0, _grid(100, 30), 1.0, 100, 1e-9
+                ):
+                    raise Stop
+        assert len(forks) == 1
+        _assert_no_child_process()
+
+    def test_this_process_renders_batches_0_2_4(
+        self, monkeypatch, two_cpus, batch_sizes
+    ):
+        # the twin of test_this_process_solves_batches_0_2_4: a helper
+        # that failed every batch would leave its batches here, and only
+        # these counts would show it
+        b_values = [-10.0, -9.0, -8.0, -7.0, -6.0, -5.0, PI2]
+        b_values += [11.0 + i for i in range(8)]
+        text = _rendered(b_values, 100)
+        assert batch_sizes == [6, 2]
+        monkeypatch.setattr(experiments, "BATCH_ENTRIES", 1)
+        single = _rendered(b_values, 100)
+        assert batch_sizes == [6, 2] + [1] * 7
+        assert len(text) == 3 and len(single) == 14
+        expected = _one_cpu_text(monkeypatch, b_values, 100)
+        assert "".join(text) == "".join(single) == expected
+
+    @pytest.mark.parametrize("batches", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "modes_per_side, entries", [(1, 3), (100, None), (250, None)]
+    )
+    def test_rendered_text_equals_one_cpu(
+        self, monkeypatch, forks, modes_per_side, entries, batches
+    ):
+        if entries is not None:
+            monkeypatch.setattr(experiments, "BATCH_ENTRIES", entries)
+        b_values = _grid(modes_per_side, batches)
+        expected = _one_cpu_text(monkeypatch, b_values, modes_per_side)
+        serial = _rendered(b_values, modes_per_side)
+        assert forks == []
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        text = _rendered(b_values, modes_per_side)
+        assert len(forks) == (batches > 1)
+        assert len(text) == len(serial) == batches
+        assert "".join(text) == "".join(serial) == expected
+
+    @pytest.mark.parametrize("failure", ["header", "payload", "render"])
+    def test_dead_helper_leaves_its_rendered_batches_here(
+        self, monkeypatch, two_cpus, batch_sizes, failure
+    ):
+        # of 7 batches (six of 6 points, then 3) the helper takes 1, 3
+        # and 5; it sends batch 1, then dies after the header of batch 3,
+        # halfway through its payload, or raises in render.  This
+        # process then solves 3 and 5 as well as its own 0, 2, 4 and 6.
+        b_values = _grid(100, 7)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+        serial = _rendered(b_values, 100)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        batch_sizes.clear()
+        sent = 8 + len(serial[1].encode())
+        if failure == "render":
+            parent = os.getpid()
+            rendered_in_helper = []
+
+            def render(b, eigs):
+                if os.getpid() != parent:
+                    if len(rendered_in_helper) == 6:
+                        raise ValueError("render failed")
+                    rendered_in_helper.append(b)
+                return _render(b, eigs)
+
+            text = list(
+                experiments.difference_spectra(
+                    -10.0, b_values, 1.0, 100, 1e-9, render
+                )
+            )
+        else:
+            budget = sent + 8
+            if failure == "payload":
+                budget += (sent - 8) // 2
+
+            def opened(file, mode="r", *args, **kwargs):
+                handle = open(file, mode, *args, **kwargs)
+                return _DiesAfter(handle, budget) if mode == "wb" else handle
+
+            monkeypatch.setattr(experiments, "open", opened, raising=False)
+            text = _rendered(b_values, 100)
+        assert "".join(text) == "".join(serial)
+        assert batch_sizes == [6, 6, 6, 6, 6, 3]
+
+    def test_no_helper_outlives_close_when_rendering(self, two_cpus, forks):
+        with time_limit(10.0):
+            batches = experiments.difference_spectra(
+                -10.0, _grid(100, 30), 1.0, 100, 1e-9, _render
+            )
+            next(batches)
+            batches.close()
+        assert len(forks) == 1
+        _assert_no_child_process()
+
+    def test_no_helper_outlives_a_consumer_exception_when_rendering(
+        self, two_cpus, forks
+    ):
+        class Stop(Exception):
+            pass
+
+        with time_limit(10.0):
+            with pytest.raises(Stop):
+                for _ in experiments.difference_spectra(
+                    -10.0, _grid(100, 30), 1.0, 100, 1e-9, _render
                 ):
                     raise Stop
         assert len(forks) == 1

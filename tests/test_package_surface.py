@@ -10,7 +10,9 @@ imports must be used in that module, be re-exported in
 imported on such a line must be one the benchmark's tracer looks up.
 A resonant coefficient is refused in one place, so ``ResonanceError``
 is raised only by the gate and the two checks with messages of their
-own.
+own.  There is one parallel path and no environment knob: only
+``experiments._solved`` forks, and no module reads ``os.environ`` or
+``os.getenv``.
 """
 
 import ast
@@ -130,3 +132,39 @@ def test_resonance_is_refused_only_by_the_gate():
     ]
     second_gates = [name for name in raisers if name not in RESONANCE_RAISERS]
     assert second_gates == [], "refuse resonance through _checked_threshold"
+
+
+#: The one place in src that may start a process: the parallel solve
+FORKERS = {"experiments._solved"}
+
+#: Names through which a module reads the environment
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _references(names):
+    """(module.top-level def, name) for each top-level def of src and
+    each of ``names`` that it uses or imports."""
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            used = _used_names(top) | {
+                alias.name
+                for node in ast.walk(top)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for name in used & names:
+                yield where, name
+
+
+def test_only_the_parallel_solve_forks():
+    # one parallel path: a second fork would need its own reaping
+    forks = {where for where, _ in _references({"fork", "forkpty"})}
+    assert forks == FORKERS, "fork only in experiments._solved"
+
+
+def test_no_module_reads_the_environment():
+    # behaviour follows the flags and the affinity mask, never a
+    # variable of the environment
+    readers = sorted(_references(ENVIRONMENT_READERS))
+    assert readers == [], "take a setting as a flag, not from os.environ"
