@@ -288,18 +288,11 @@ def _run_truncation_check(parser: _Parser, args: argparse.Namespace) -> int:
             f"--size must correspond to an even mode count for halving, "
             f"got size={args.size} (J={j_modes})"
         )
-    per_a = linalg.truncation_error(
-        ProblemParams(a=args.a, k=args.k, modes_per_side=j_modes, guard=args.guard)
+    params_a = ProblemParams(
+        a=args.a, k=args.k, modes_per_side=j_modes, guard=args.guard
     )
-    per_b = None
-    diff = None
-    if args.b is not None:
-        per_b = linalg.truncation_error(
-            ProblemParams(a=args.b, k=args.k, modes_per_side=j_modes, guard=args.guard)
-        )
-        diff = linalg.difference_truncation_error(
-            args.a, args.b, k=args.k, modes_per_side=j_modes, guard=args.guard
-        )
+    params_b = None if args.b is None else dataclasses.replace(params_a, a=args.b)
+    per_a, per_b, diff = linalg._truncation_check(params_a, params_b)
     if args.format == "json":
         payload = {
             "a": args.a, "b": args.b, "k": args.k, "modes_per_side": j_modes,

@@ -17,11 +17,18 @@ independent route.  Only signs are consumed downstream, so the H^1
 normalization (which rescales magnitudes but not signs) is omitted.
 
 ``exact_negative_count`` evaluates the coefficients over blocks of
-lattice rows, in place in two buffers.  They are IEEE sums, products
-and quotients in the scalar order, so every sign is bit for bit the one
-``solution_diff_coefficient`` gives, and the blocks keep memory flat in
-the cutoff.  Resonance is decided once per coefficient, by the one gate
-``_checked_threshold``, which applies
+lattice modes, in place in two buffers.  The coefficient depends on a
+mode only through l^2 + m^2, so the diagonal reflection (l, m) <->
+(m, l) of the square maps every mode to a twin with the same bits, and
+only the modes with m >= l are evaluated: a block takes rows l in
+[l0, l0 + r) and columns m in [l0, cutoff], its leading r-by-r square
+(which holds both orders of its pairs) counts with weight 1 and every
+later column (m > l, standing for its mirror as well) with weight 2.
+The coefficients are IEEE sums, products and quotients in the scalar
+order, so every sign is bit for bit the one
+``solution_diff_coefficient`` gives, and the blocks keep memory flat
+in the cutoff.  Resonance is decided once per coefficient, by the one
+gate ``_checked_threshold``, which applies
 :func:`~ndsquare.spectrum.is_resonant`: each block's levels are
 ``PI2 * (l*l + m*m)``, the very expression that function scans, so a
 window with accepted ends holds no mode within the guard of either end
@@ -43,7 +50,9 @@ from .spectrum import (
 from .spectrum import is_resonant  # noqa: F401
 
 #: Largest number of lattice modes ``exact_negative_count`` evaluates
-#: at once (whole rows, at least one).
+#: at once (whole rows of the half m >= l, at least one row).  A block's
+#: leading square counts with weight 1, its later columns, mirrored by
+#: the reflection (l, m) <-> (m, l), with weight 2.
 BLOCK_MODES = 16384
 
 
@@ -96,6 +105,12 @@ def exact_negative_count(
     pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``.
     A resonant a or b raises the gate's :class:`ResonanceError`; once
     both are accepted, no mode lies within the guard of a*k^2 or b*k^2.
+
+    Only the modes with m >= l are evaluated: (l, m) and (m, l) have the
+    same coefficient, bit for bit.  A block of rows l in [l0, l0 + r)
+    spans columns m in [l0, cutoff]; its leading r-by-r square holds
+    both orders of its pairs and counts with weight 1, and each later
+    column, where m > l, counts with weight 2.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got a={a}, b={b}")
@@ -110,16 +125,19 @@ def exact_negative_count(
     for coeff in (a, b):
         _checked_threshold(coeff, k, guard)
     side = mode_cutoff + 1
-    m_sq = np.arange(side) ** 2
-    rows = max(1, BLOCK_MODES // side)
+    squares = np.arange(float(side))
+    squares *= squares  # exact below 2**53: the levels are the scalar ones
     # every block is evaluated in place in the same two buffers: a new
     # block-sized array per operation makes glibc trim and regrow the heap
-    buffers = np.empty((2, rows, side))
+    buffers = np.empty((2, max(BLOCK_MODES, side)))
     count = 0
-    for first_l in range(0, side, rows):
-        l = np.arange(first_l, min(first_l + rows, side))
-        lam, hi = buffers[:, :len(l)]
-        np.add.outer(l * l, m_sq, out=lam)
+    l0 = 0
+    while l0 < side:
+        width = side - l0
+        rows = min(width, max(1, BLOCK_MODES // width))
+        block = buffers[:, :rows * width].reshape(2, rows, width)
+        lam, hi = block[0], block[1]
+        np.add.outer(squares[l0:l0 + rows], squares[l0:], out=lam)
         lam *= PI2
         lam += 1.0
         np.divide(1.0, lam, out=lam)
@@ -127,5 +145,12 @@ def exact_negative_count(
             np.multiply(1.0 + coeff * k * k, lam, out=out)
             np.subtract(1.0, out, out=out)
             np.divide(1.0, out, out=out)
-        count += int(np.count_nonzero(np.subtract(hi, lam, out=hi) < 0.0))
+        # hi - lo < 0 exactly when hi < lo, for every pair of floats; the
+        # leading rows-by-rows square holds both orders of its pairs, and
+        # each later column (m > l) also stands for its mirror (m, l)
+        negative = np.less(hi, lam)
+        count += int(np.count_nonzero(negative))
+        if rows < width:
+            count += int(np.count_nonzero(negative[:, rows:]))
+        l0 += rows
     return count

@@ -22,7 +22,10 @@ around the eigensolve, kept verbatim as oracles for the current ones:
 the next-side block as an outer product divided by an outer-sum
 denominator, ``circulant_spectrum`` with one LAPACK call per
 eigenproblem (five per point), and the trajectories CSV built one
-formatted line per eigenvalue.
+formatted line per eigenvalue.  ``full_square_negative_count`` is the
+solution-operator count as it was before it evaluated each mirrored
+pair (l, m), (m, l) once: every mode of the square, in blocks of whole
+rows.
 """
 
 import math
@@ -31,8 +34,17 @@ import numpy as np
 
 from ndsquare.cli import TRAJECTORIES_CSV_HEADER
 from ndsquare.nd_matrix import NEAR_LEVEL_SWITCH
-from ndsquare.spectrum import DEFAULT_GUARD, PI2, ResonanceError
+from ndsquare.spectrum import (
+    DEFAULT_GUARD,
+    PI2,
+    ResonanceError,
+    _checked_threshold,
+)
 from oracles import normalizer
+
+#: Largest number of lattice modes ``full_square_negative_count``
+#: evaluates at once (whole rows, at least one).
+BLOCK_MODES = 16384
 
 #: Threshold above which csch(x)/x is evaluated as 2*exp(-x)/x, since
 #: sinh overflows near 710 (the entries decay like 1/x).
@@ -227,3 +239,52 @@ def per_line_trajectories_csv(points) -> str:
         for idx, eig in enumerate(point.eigenvalues):
             lines.append(f"{b},{idx},{_fmt(eig)}")
     return "\n".join(lines) + "\n"
+
+
+def full_square_negative_count(
+    a: float,
+    b: float,
+    k: float = 1.0,
+    mode_cutoff: int = 40,
+    guard: float = DEFAULT_GUARD,
+) -> int:
+    """Number of negative diagonal coefficients over modes l, m <= cutoff.
+
+    Every sign change happens at a mode with pi^2*(l^2+m^2) < b*k^2, so
+    the count is exact (and equals the lattice bound) once
+    pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``.
+    A resonant a or b raises the gate's :class:`ResonanceError`; once
+    both are accepted, no mode lies within the guard of a*k^2 or b*k^2.
+    """
+    if not a < b:
+        raise ValueError(f"requires a < b, got a={a}, b={b}")
+    if mode_cutoff < 1:
+        raise ValueError(f"mode_cutoff must be >= 1, got {mode_cutoff}")
+    if PI2 * mode_cutoff * mode_cutoff <= b * k * k:
+        raise ValueError(
+            f"mode_cutoff={mode_cutoff} too small: pi^2*cutoff^2 = "
+            f"{PI2 * mode_cutoff**2:.6g} <= b*k^2 = {b * k * k:.6g}; "
+            f"sign changes could fall outside the enumerated window"
+        )
+    for coeff in (a, b):
+        _checked_threshold(coeff, k, guard)
+    side = mode_cutoff + 1
+    m_sq = np.arange(side) ** 2
+    rows = max(1, BLOCK_MODES // side)
+    # every block is evaluated in place in the same two buffers: a new
+    # block-sized array per operation makes glibc trim and regrow the heap
+    buffers = np.empty((2, rows, side))
+    count = 0
+    for first_l in range(0, side, rows):
+        l = np.arange(first_l, min(first_l + rows, side))
+        lam, hi = buffers[:, :len(l)]
+        np.add.outer(l * l, m_sq, out=lam)
+        lam *= PI2
+        lam += 1.0
+        np.divide(1.0, lam, out=lam)
+        for coeff, out in ((b, hi), (a, lam)):
+            np.multiply(1.0 + coeff * k * k, lam, out=out)
+            np.subtract(1.0, out, out=out)
+            np.divide(1.0, out, out=out)
+        count += int(np.count_nonzero(np.subtract(hi, lam, out=hi) < 0.0))
+    return count

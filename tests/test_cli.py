@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ndsquare
-from ndsquare import experiments, linalg, nd_matrix
+from ndsquare import experiments, linalg, nd_matrix, spectrum
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
@@ -511,6 +511,50 @@ class TestTruncationCheckCommand:
         with pytest.raises(SystemExit) as exc:
             main(["truncation-check", "--a", "-10", "--size", "20"])
         assert exc.value.code == 1
+
+    def test_each_coefficient_is_decided_and_assembled_once(
+        self, capsys, monkeypatch
+    ):
+        # two coefficients: two resonance decisions, two block builds
+        # and three spectra (a's border, b's border, the difference's),
+        # with the numbers of the public estimators
+        calls = {"is_resonant": 0, "side_blocks": 0, "circulant_spectrum": 0}
+        for module, name in (
+            (spectrum, "is_resonant"),
+            (linalg, "side_blocks"),
+            (linalg, "circulant_spectrum"),
+        ):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(
+            capsys, "truncation-check", "--a", "-10", "--b", "5",
+            "--size", "32", "--format", "json",
+        )
+        monkeypatch.undo()
+        assert code == 0
+        assert calls == {
+            "is_resonant": 2, "side_blocks": 2, "circulant_spectrum": 3
+        }
+        payload = json.loads(out)
+        params = ProblemParams(a=-10.0, modes_per_side=8)
+        assert payload["per_operator_a"] == linalg.truncation_error(params)
+        assert payload["per_operator_b"] == linalg.truncation_error(
+            ProblemParams(a=5.0, modes_per_side=8)
+        )
+        assert payload["difference"] == linalg.difference_truncation_error(
+            -10.0, 5.0, modes_per_side=8
+        )
+
+    def test_resonant_a_is_refused_before_b(self, capsys):
+        code, out, err = run(
+            capsys, "truncation-check", "--a", "0", "--b", repr(PI2),
+            "--size", "32",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("ndsquare truncation-check: a*k^2 = 0.0 is")
 
 
 _UNDECIDABLE = {

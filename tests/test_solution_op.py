@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ndsquare import solution_op
 from ndsquare.solution_op import (
     embedding_eigenvalue,
     exact_negative_count,
@@ -22,6 +23,7 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
 )
 from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE
+from scalar_reference import full_square_negative_count
 
 
 class TestEmbeddingEigenvalue:
@@ -132,22 +134,103 @@ def scalar_negative_count(a, b, k, mode_cutoff, guard=DEFAULT_GUARD):
     return count
 
 
+#: Float64 values with the IEEE special cases drawn on purpose: signed
+#: zeros, infinities, nan, the subnormal range and its edges.
+SIGNED_FLOATS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(min_value=-2.3e-308, max_value=2.3e-308)
+    | st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+         2.2250738585072014e-308, -2.2250738585072014e-308,
+         2.225073858507201e-308, -2.225073858507201e-308]
+    )
+)
+
+
+def random_windows(mode_cutoff, k, draws=3):
+    # windows (a, b) with accepted ends that the cutoff can count
+    rng = np.random.default_rng(mode_cutoff)
+    top = PI2 * mode_cutoff * mode_cutoff / (k * k)
+    for _ in range(draws):
+        b = float(rng.uniform(0.2, 0.99)) * top
+        a = float(rng.uniform(-50.0, b))
+        if not (is_resonant(a, k) or is_resonant(b, k)):
+            yield a, b
+
+
+#: A window holding no level, so narrow that most coefficients round to
+#: exactly 0.0 (115 of the 121 modes up to cutoff 10): none may count.
+NARROW = (5.0, math.nextafter(5.0, math.inf))
+
+
 class TestBlockedCount:
-    # side = cutoff + 1 modes per row: 128 rows fill one block of 16384
-    # exactly, 129 and 130 spill into a second, 319 takes seven
+    # side = cutoff + 1: a block spans columns l0..cutoff of its rows,
+    # side² <= 16384 for side <= 128, so 128 takes the whole square in
+    # one block; 129 and 130 leave a 2- and a 4-row square for a second
+    # block, and 319 takes four (51, 61, 79 and 128 rows)
     @pytest.mark.parametrize("mode_cutoff", [1, 2, 127, 128, 129, 318])
     @pytest.mark.parametrize("k", [1.0, 0.7, 1.6])
     def test_equals_the_scalar_loop(self, mode_cutoff, k):
-        rng = np.random.default_rng(mode_cutoff)
-        top = PI2 * mode_cutoff * mode_cutoff / (k * k)
-        for _ in range(3):
-            b = float(rng.uniform(0.2, 0.99)) * top
-            a = float(rng.uniform(-50.0, b))
-            if is_resonant(a, k) or is_resonant(b, k):
-                continue
+        for a, b in random_windows(mode_cutoff, k):
             assert exact_negative_count(
                 a, b, k, mode_cutoff
             ) == scalar_negative_count(a, b, k, mode_cutoff), (a, b)
+
+    # budget 1 and 7 leave one-row blocks wherever a row is wider than
+    # the budget; 7 and 64 end in partial squares (rows 7 + 2 of side
+    # 9 at budget 64, rows 1 + 2 + 1 of the last four columns at 7)
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    @pytest.mark.parametrize("mode_cutoff", [1, 2, 3, 8, 10, 41])
+    def test_small_budgets_equal_the_scalar_loop(
+        self, monkeypatch, budget, mode_cutoff
+    ):
+        monkeypatch.setattr(solution_op, "BLOCK_MODES", budget)
+        windows = list(random_windows(mode_cutoff, 1.3))
+        if mode_cutoff >= 2:
+            windows.append((-10.0, 15.0))  # levels 0 (once), 1 and 2
+        if mode_cutoff >= 10:
+            windows.append(NARROW)
+        assert windows
+        for a, b in windows:
+            assert exact_negative_count(
+                a, b, 1.3, mode_cutoff
+            ) == scalar_negative_count(a, b, 1.3, mode_cutoff), (a, b)
+
+    def test_a_window_of_zero_coefficients_counts_none(self):
+        assert scalar_negative_count(*NARROW, 1.0, 10) == 0
+        assert exact_negative_count(*NARROW, 1.0, 10) == 0
+
+    @given(
+        mode_cutoff=st.integers(min_value=1, max_value=400),
+        top=st.floats(min_value=0.001, max_value=0.999),
+        a=st.floats(min_value=-50.0, max_value=50.0),
+        k=st.floats(min_value=0.5, max_value=2.0) | st.just(1.0),
+    )
+    @example(mode_cutoff=318, top=0.99, a=-10.0, k=1.0)
+    @example(mode_cutoff=129, top=0.5, a=3.0, k=1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_full_square_count(self, mode_cutoff, top, a, k):
+        # the count before the reflection, every mode of the square
+        b = top * PI2 * mode_cutoff * mode_cutoff / (k * k)
+        assume(a < b and not is_resonant(a, k) and not is_resonant(b, k))
+        assert exact_negative_count(
+            a, b, k, mode_cutoff
+        ) == full_square_negative_count(a, b, k, mode_cutoff)
+
+    @given(
+        st.lists(
+            st.tuples(SIGNED_FLOATS, SIGNED_FLOATS), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=200)
+    def test_less_is_the_sign_of_the_difference(self, pairs):
+        # why the count compares hi < lo instead of testing hi - lo < 0:
+        # IEEE subtraction is exact in sign, and gradual underflow never
+        # rounds x - y to zero for x != y
+        x, y = np.array(pairs).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            difference = np.subtract(x, y)
+        np.testing.assert_array_equal(np.less(x, y), difference < 0.0)
 
     @pytest.mark.parametrize("label", ["a", "b"])
     def test_resonant_mode_message_matches_the_scalar_loop(self, label):
