@@ -20,11 +20,9 @@ normalization (which rescales magnitudes but not signs) is omitted.
 lattice modes, in place in two buffers.  The coefficient depends on a
 mode only through l^2 + m^2, so the diagonal reflection (l, m) <->
 (m, l) of the square maps every mode to a twin with the same bits, and
-only the modes with m >= l are evaluated: a block takes rows l in
-[l0, l0 + r) and columns m in [l0, cutoff], its leading r-by-r square
-(which holds both orders of its pairs) counts with weight 1 and every
-later column (m > l, standing for its mirror as well) with weight 2.
-The coefficients are IEEE sums, products and quotients in the scalar
+only the modes with m >= l are evaluated: a block's leading square,
+which holds both orders of its pairs, counts with weight 1, and its
+later columns (m > l) with weight 2.  The coefficients are IEEE sums, products and quotients in the scalar
 order, so every sign is bit for bit the one
 ``solution_diff_coefficient`` gives, and the blocks keep memory flat
 in the cutoff.  Resonance is decided once per coefficient, by the one
