@@ -229,17 +229,19 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
     template = "".join(f"%s,{idx},%.17g\n" for idx in range(4 * j_modes))
 
     def render(b: float, eigs) -> str:
+        if eigs is None:  # a resonant b has no rows
+            return ""
         fields = [_fmt(b)] * (8 * j_modes)
         fields[1::2] = eigs.tolist()
         return template % tuple(fields)
 
-    # every b is decided here, before a byte is written; each batch
+    # every b is decided here, before a byte is written; each point
     # comes rendered by the process that solved it
-    batches = experiments.difference_spectra(
+    rows = experiments.difference_spectra(
         args.a, b_values, args.k, j_modes, args.guard, render
     )
     header = TRAJECTORIES_CSV_HEADER + "\n"
-    _emit(itertools.chain([header], batches), args.out)
+    _emit(itertools.chain([header], rows), args.out)
     return 0
 
 

@@ -22,15 +22,14 @@ difference of two truncated Neumann-to-Dirichlet matrices:
 All three consume :func:`difference_spectra`, the one experiment loop.
 It solves the grid in batches of points, with one
 :func:`~ndsquare.nd_matrix.side_blocks` and one
-:func:`~ndsquare.linalg.circulant_spectrum` call per batch, and hands
-each spectrum on in grid order as soon as its batch is solved, so a
-consumer that streams holds one batch at a time.  A consumer that only
-formats the spectra (the CLI's ``trajectories`` CSV writer) passes a
-``render`` function instead and gets each batch as text.  On Linux, in
-a process with one thread, forked helper processes solve every W-th
-batch on the other CPUs of the affinity mask and pipe each batch back
-as one length-prefixed frame: its float64 spectra as raw bytes, or its
-rendered text, so the formatting runs where the batch was solved
+:func:`~ndsquare.linalg.circulant_spectrum` call per batch, and yields
+a consumer's per-point result ``each(b, spectrum)`` in grid order as
+soon as the point's batch is solved, so a consumer that streams holds
+one batch at a time.  On Linux, in a process with one thread, forked
+helper processes solve every W-th batch on the other CPUs of the
+affinity mask, apply ``each`` to its points and pipe the results back
+as one length-prefixed pickled frame per batch, so a consumer's
+reduction or formatting runs where the batch was solved
 (``numpy.linalg.eigvalsh`` holds the GIL, so threads would not
 overlap); elsewhere the loop is serial.  The dense 4J×4J matrix is
 never formed, and the outputs are deterministic functions of the
@@ -39,13 +38,15 @@ inputs, bit for bit the same on any number of CPUs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import pickle
 import signal
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,24 +146,23 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _solved(work, batches: list, receive) -> Iterator:
-    """Yield ``work(batch)``, a float64 array or a str, for each batch.
+def _solved(work, batches: list) -> Iterator:
+    """Yield ``work(batch)`` for each batch, in order.
 
     With W = min(:func:`_cpu_count`, number of batches), the first
     next() forks W - 1 helpers.  Helper w does batches w, w + W, ...
-    and sends each result through its own pipe as one frame: the
-    payload's byte count in 8 little-endian bytes, then the payload, an
-    array's float64 bytes or a str's UTF-8 text.  It leaves by
-    ``os._exit``, so it never returns into the caller's stack and
-    flushes no inherited buffer.  This process does batches 0, W, 2W,
-    ... itself, without serializing them, and reads the others in
-    order: ``receive(reader, nbytes)`` reads a payload and returns the
-    result, or None if the stream ends first.  So each result has the
-    bits of its serial run and no more processes work than there are
-    CPUs.  If a helper's stream ends early (or it could not be forked),
-    this process does the rest of its batches, so a failure there ends
-    as the serial path's own result or exception.  On every exit the
-    read ends are closed and every helper is killed and reaped.
+    and sends each result through its own pipe as one frame: the byte
+    count of ``pickle.dumps(result)`` in 8 little-endian bytes, then
+    those bytes.  It leaves by ``os._exit``, so it never returns into
+    the caller's stack and flushes no inherited buffer.  This process
+    does batches 0, W, 2W, ... itself, without pickling them, and reads
+    the others in order, unpickling a frame once its header and payload
+    are whole.  So each result has the bits of its serial run and no
+    more processes work than there are CPUs.  If a helper's stream ends
+    early (or it could not be forked), this process does the rest of
+    its batches, so a failure there ends as the serial path's own
+    result or exception.  On every exit the read ends are closed and
+    every helper is killed and reaped.
     """
     workers = min(_cpu_count(), len(batches))
     pids, readers = [], {}
@@ -182,11 +182,7 @@ def _solved(work, batches: list, receive) -> Iterator:
                         reader.close()
                     with open(fd_write, "wb") as out:
                         for batch in batches[w::workers]:
-                            result = work(batch)
-                            payload = (
-                                result.encode() if isinstance(result, str)
-                                else result.tobytes()
-                            )
+                            payload = pickle.dumps(work(batch))
                             out.write(len(payload).to_bytes(8, "little"))
                             out.write(payload)
                             out.flush()
@@ -200,9 +196,10 @@ def _solved(work, batches: list, receive) -> Iterator:
             if reader is not None:
                 header = reader.read(8)
                 if len(header) == 8:
-                    result = receive(reader, int.from_bytes(header, "little"))
-                    if result is not None:
-                        yield result
+                    nbytes = int.from_bytes(header, "little")
+                    payload = reader.read(nbytes)
+                    if len(payload) == nbytes:
+                        yield pickle.loads(payload)
                         continue
                 readers.pop(i % workers).close()
             yield work(batch)
@@ -214,42 +211,35 @@ def _solved(work, batches: list, receive) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def _read_text(reader, nbytes: int) -> str | None:
-    payload = reader.read(nbytes)
-    return payload.decode() if len(payload) == nbytes else None
-
-
 def difference_spectra(
     a: float,
     b_values: Sequence[float],
     k: float,
     modes_per_side: int,
     guard: float,
-    render: Callable[[float, np.ndarray], str] | None = None,
-) -> Iterator[tuple[float, np.ndarray | None]] | Iterator[str]:
-    """Iterate (b, descending spectrum of Λ(b) − Λ(a)) in grid order.
+    each: Callable[[float, np.ndarray | None], Any] = lambda *point: point,
+) -> Iterator:
+    """Iterate ``each(b, eigs)`` in grid order, by default (b, eigs).
 
-    The spectrum is None for a resonant b.  Before this returns, a and
-    ``modes_per_side`` are validated by one :class:`ProblemParams`,
-    every b is decided by one :func:`is_resonant` call (so a b that
-    cannot be decided raises here, before any eigensolve) and the side
-    blocks of a are assembled.  The valid b values are then solved in
-    batches of ``max(1, BATCH_ENTRIES // modes_per_side**2)`` in input
-    order: one :func:`side_blocks` call on the batch's array of b·k²
-    and one :func:`circulant_spectrum` call per batch.  Each spectrum
-    is yielded as soon as its batch is solved and is bit for bit the
-    spectrum of that b alone.  No 4J×4J matrix is formed.
-
-    With ``render``, each batch is yielded instead as one str, the
-    ``render(b, spectrum)`` of its valid points joined in grid order,
-    and a resonant b renders nothing.  The process that solves a batch
-    renders it, so the formatting is spread over the CPUs with the
-    solves.
+    ``eigs`` is the descending spectrum of Λ(b) − Λ(a), or None for a
+    resonant b.  Before this returns, a and ``modes_per_side`` are
+    validated by one :class:`ProblemParams`, every b is decided by one
+    :func:`is_resonant` call (so a b that cannot be decided raises
+    here, before any eigensolve) and the side blocks of a are
+    assembled.  The valid b values are then solved in batches of
+    ``max(1, BATCH_ENTRIES // modes_per_side**2)`` in input order: one
+    :func:`side_blocks` call on the batch's array of b·k² and one
+    :func:`circulant_spectrum` call per batch.  Each spectrum is bit
+    for bit the spectrum of that b alone, and each result is yielded as
+    soon as its batch is solved.  No 4J×4J matrix is formed.
 
     The first next() spreads the batches over the CPUs (see
-    :func:`_solved`); the helper processes get the base blocks through
-    the fork, and exhausting, closing or dropping the iterator kills
-    and reaps them.  Every yielded array is writable.
+    :func:`_solved`): ``each`` runs on a solved point in the process
+    that solved its batch, so a result that comes from a helper is a
+    pickled copy, and on a resonant b in this process.  The helper
+    processes get the base blocks through the fork, and exhausting,
+    closing or dropping the iterator kills and reaps them.  Every
+    spectrum handed to ``each`` is writable.
     """
     ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     if any(b < a for b in b_values):
@@ -263,29 +253,15 @@ def difference_spectra(
         slice(start, start + size) for start in range(0, len(valid), size)
     ]
 
-    def solve(batch: slice) -> np.ndarray:
+    def solve(batch: slice) -> list:
         blocks = side_blocks(ak2[batch], modes_per_side)
         for block, base_block in zip(blocks, base):
             block -= base_block
-        return circulant_spectrum(*blocks)
+        return list(map(each, valid[batch], circulant_spectrum(*blocks)))
 
-    if render is not None:
-        return _solved(
-            lambda batch: "".join(map(render, valid[batch], solve(batch))),
-            batches, _read_text,
-        )
-
-    def read_spectra(reader, nbytes: int) -> np.ndarray | None:
-        eigs = np.empty(nbytes // 8).reshape(-1, 4 * modes_per_side)
-        return eigs if reader.readinto(eigs) == nbytes else None
-
-    spectra = (
-        eigs
-        for solved in _solved(solve, batches, read_spectra)
-        for eigs in solved
-    )
+    results = itertools.chain.from_iterable(_solved(solve, batches))
     return (
-        (b, None if skip else next(spectra))
+        each(b, None) if skip else next(results)
         for b, skip in zip(b_values, resonant)
     )
 
@@ -313,29 +289,24 @@ def sweep(
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    reports: list[BoundReport] = []
-    spectra = difference_spectra(a, b_values, k, modes_per_side, guard)
+
+    def measure(b: float, eigs: np.ndarray | None):
+        if eigs is None:
+            return None
+        return count_negative(eigs, delta), float(eigs[-1]), float(eigs[0])
+
+    rows = difference_spectra(a, b_values, k, modes_per_side, guard, measure)
     modes_below_a = _modes_below(a * k * k)
     bounds = [_modes_below(b * k * k) - modes_below_a for b in b_values]
-    for (b, eigs), bound in zip(spectra, bounds):
-        if eigs is None:
-            reports.append(
-                BoundReport(
-                    a=a, b=b, k=k, modes_per_side=modes_per_side, delta=delta,
-                    skipped=True, measured_negative=None,
-                    theoretical_bound=None, min_eigenvalue=None,
-                    max_eigenvalue=None,
-                )
-            )
-            continue
+    reports = []
+    for b, bound, row in zip(b_values, bounds, rows):
+        negative, low, high = (None, None, None) if row is None else row
         reports.append(
             BoundReport(
                 a=a, b=b, k=k, modes_per_side=modes_per_side, delta=delta,
-                skipped=False,
-                measured_negative=count_negative(eigs, delta),
-                theoretical_bound=bound,
-                min_eigenvalue=float(eigs[-1]),
-                max_eigenvalue=float(eigs[0]),
+                skipped=row is None, measured_negative=negative,
+                theoretical_bound=None if row is None else bound,
+                min_eigenvalue=low, max_eigenvalue=high,
             )
         )
     return reports
@@ -353,15 +324,16 @@ def trajectories(
     Returns a list of every point; to hold one batch at a time,
     iterate :func:`difference_spectra` instead.
     """
-    return [
-        TrajectoryPoint(
+
+    def point(b: float, eigs: np.ndarray | None) -> TrajectoryPoint:
+        return TrajectoryPoint(
             b=b, skipped=eigs is None,
             eigenvalues=None if eigs is None else tuple(eigs.tolist()),
         )
-        for b, eigs in difference_spectra(
-            a, b_values, k, modes_per_side, guard
-        )
-    ]
+
+    return list(
+        difference_spectra(a, b_values, k, modes_per_side, guard, point)
+    )
 
 
 def verify_crossing(

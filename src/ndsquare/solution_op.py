@@ -22,10 +22,10 @@ mode only through l^2 + m^2, so the diagonal reflection (l, m) <->
 (m, l) of the square maps every mode to a twin with the same bits, and
 only the modes with m >= l are evaluated: a block's leading square,
 which holds both orders of its pairs, counts with weight 1, and its
-later columns (m > l) with weight 2.  The coefficients are IEEE sums, products and quotients in the scalar
-order, so every sign is bit for bit the one
-``solution_diff_coefficient`` gives, and the blocks keep memory flat
-in the cutoff.  Resonance is decided once per coefficient, by the one
+later columns (m > l) with weight 2.  The coefficients are IEEE sums,
+products and quotients in the scalar order, so every sign is bit for
+bit the one ``solution_diff_coefficient`` gives, and the blocks keep
+memory flat in the cutoff.  Resonance is decided once per coefficient, by the one
 gate ``_checked_threshold``, which applies
 :func:`~ndsquare.spectrum.is_resonant`: each block's levels are
 ``PI2 * (l*l + m*m)``, the very expression that function scans, so a

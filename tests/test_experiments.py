@@ -6,6 +6,7 @@ the acceptance suite.
 
 import math
 import os
+import pickle
 import re
 import threading
 
@@ -14,6 +15,7 @@ import pytest
 
 from ndsquare import experiments, spectrum
 from ndsquare.experiments import sweep, trajectories, verify_crossing
+from ndsquare.linalg import count_negative
 from ndsquare.spectrum import (
     PI2,
     ResonanceError,
@@ -161,12 +163,6 @@ class TestTrajectories:
 
 
 
-def _same_bits(x, y):
-    return x.shape == y.shape and np.array_equal(
-        x.view(np.int64), y.view(np.int64)
-    )
-
-
 @pytest.fixture
 def batch_sizes(monkeypatch):
     """The number of points of each circulant_spectrum call, in order."""
@@ -203,9 +199,7 @@ class TestDifferenceSpectra:
         assert [eigs is None for _, eigs in spectra] == [
             b == PI2 for b in b_values
         ]
-        for (_, eigs), (_, alone) in zip(spectra, single):
-            assert (eigs is None) == (alone is None)
-            assert eigs is None or _same_bits(eigs, alone)
+        _assert_same_points(spectra, single)
         assert not spectra[0][1].any()
 
     def test_batches_are_solved_on_demand(self, one_cpu, batch_sizes):
@@ -231,19 +225,31 @@ class TestDifferenceSpectra:
             experiments.difference_spectra(-10.0, [5.0, 1e300], 1.0, 4, 1e-9)
 
 
-def _spectra(b_values, modes_per_side):
-    return list(
-        experiments.difference_spectra(
-            -10.0, b_values, 1.0, modes_per_side, 1e-9
-        )
+def _points(b_values, modes_per_side, each=None):
+    # each=None leaves difference_spectra its default, the (b, eigs) pair
+    extra = () if each is None else (each,)
+    return experiments.difference_spectra(
+        -10.0, b_values, 1.0, modes_per_side, 1e-9, *extra
     )
 
 
+def _spectra(b_values, modes_per_side, each=None):
+    return list(_points(b_values, modes_per_side, each))
+
+
+def _bits(value):
+    """``value`` with every array and float replaced by its bits."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(item) for item in value]
+    return value
+
+
 def _assert_same_points(points, expected):
-    assert [b for b, _ in points] == [b for b, _ in expected]
-    for (_, eigs), (_, alone) in zip(points, expected):
-        assert (eigs is None) == (alone is None)
-        assert eigs is None or _same_bits(eigs, alone)
+    assert _bits(points) == _bits(expected)
 
 
 def _grid(modes_per_side, batches):
@@ -278,29 +284,23 @@ def forks(monkeypatch):
 
 
 def _render(b, eigs):
-    # every bit of every eigenvalue, and a character of two UTF-8
-    # bytes, so a frame's length in bytes differs from its length in
-    # characters
-    return f"λ={b!r}:" + ",".join(map(float.hex, eigs.tolist())) + "\n"
+    # every bit of every eigenvalue; a resonant b renders nothing
+    if eigs is None:
+        return ""
+    return f"{b!r}:" + ",".join(map(float.hex, eigs.tolist())) + "\n"
 
 
-def _rendered(b_values, modes_per_side):
-    return list(
-        experiments.difference_spectra(
-            -10.0, b_values, 1.0, modes_per_side, 1e-9, _render
-        )
-    )
+def _reduce(b, eigs):
+    # what sweep keeps of a point
+    if eigs is None:
+        return None
+    return count_negative(eigs, 1e-5), float(eigs[-1]), float(eigs[0])
 
 
-def _one_cpu_text(monkeypatch, b_values, modes_per_side):
-    """The spectra of the serial loop, rendered here point by point;
-    leaves the solve on one CPU."""
-    monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
-    return "".join(
-        _render(b, eigs)
-        for b, eigs in _spectra(b_values, modes_per_side)
-        if eigs is not None
-    )
+#: The per-point functions every parallel behaviour is checked with,
+#: one after the other: the default (b, eigs) pair (None), a CSV-style
+#: renderer and a sweep-style reducer
+EACH = (None, _render, _reduce)
 
 
 class _DiesAfter:
@@ -340,17 +340,23 @@ class TestParallelSolve:
         self, monkeypatch, two_cpus, batch_sizes
     ):
         # the grid of test_batches_follow_input_order: batches of 6, 6
-        # and 2 points, then 14 of one; the helper's calls are not seen
+        # and 2 points, then 14 of one; the helper's calls are not seen,
+        # so a helper that failed every batch would show only here
         b_values = [-10.0, -9.0, -8.0, -7.0, -6.0, -5.0, PI2]
         b_values += [11.0 + i for i in range(8)]
-        spectra = _spectra(b_values, 100)
-        assert batch_sizes == [6, 2]
-        monkeypatch.setattr(experiments, "BATCH_ENTRIES", 1)
-        single = _spectra(b_values, 100)
-        assert batch_sizes == [6, 2] + [1] * 7
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
-        _assert_same_points(spectra, _spectra(b_values, 100))
-        _assert_same_points(single, _spectra(b_values, 100))
+        entries = experiments.BATCH_ENTRIES
+        for each in EACH:
+            monkeypatch.setattr(experiments, "BATCH_ENTRIES", entries)
+            monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+            batch_sizes.clear()
+            points = _spectra(b_values, 100, each)
+            assert batch_sizes == [6, 2]
+            monkeypatch.setattr(experiments, "BATCH_ENTRIES", 1)
+            single = _spectra(b_values, 100, each)
+            assert batch_sizes == [6, 2] + [1] * 7
+            monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+            _assert_same_points(points, _spectra(b_values, 100, each))
+            _assert_same_points(single, _spectra(b_values, 100, each))
 
     @pytest.mark.parametrize("batches", [1, 2, 3, 7])
     @pytest.mark.parametrize(
@@ -362,190 +368,135 @@ class TestParallelSolve:
         if entries is not None:
             monkeypatch.setattr(experiments, "BATCH_ENTRIES", entries)
         b_values = _grid(modes_per_side, batches)
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
-        expected = _spectra(b_values, modes_per_side)
-        assert forks == []
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
-        points = _spectra(b_values, modes_per_side)
-        _assert_same_points(points, expected)
-        assert len(forks) == (batches > 1)
-        assert not points[0][1].any()
-        assert all(eigs.flags.writeable for _, eigs in points if eigs is not None)
+        zero = np.zeros(4 * modes_per_side)
+        for each in EACH:
+            forks.clear()
+            monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+            expected = _spectra(b_values, modes_per_side, each)
+            assert forks == []
+            monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+            points = _spectra(b_values, modes_per_side, each)
+            _assert_same_points(points, expected)
+            assert len(forks) == (batches > 1)
+            # b == a: the zero spectrum
+            if each is None:
+                _assert_same_points(points[0], (-10.0, zero))
+                assert all(
+                    e.flags.writeable for _, e in points if e is not None
+                )
+            else:
+                _assert_same_points(points[0], each(-10.0, zero))
 
-    @pytest.mark.parametrize("after", [0, 1])
-    @pytest.mark.parametrize("failure", ["exit", "MemoryError"])
+    @pytest.mark.parametrize(
+        "failure, after",
+        [("exit", 0), ("exit", 1), ("MemoryError", 0), ("MemoryError", 1),
+         ("header", 1), ("payload", 1), ("each", 1)],
+    )
     def test_dead_helper_leaves_its_batches_here(
-        self, monkeypatch, one_cpu, failure, after
+        self, monkeypatch, two_cpus, batch_sizes, failure, after
     ):
-        # the helper takes batches 1, 3 and 5 and dies before its
-        # first or its second solve; this process solves them instead
+        # of 7 batches (six of 6 points, then 3) the helper takes 1, 3
+        # and 5.  It sends ``after`` batches, then dies before its next
+        # solve, after that batch's header or halfway through its
+        # payload, or raises in ``each``.  This process then solves the
+        # helper's rest as well as its own 0, 2, 4 and 6.
         b_values = _grid(100, 7)
-        expected = _spectra(b_values, 100)
-        solve = experiments.circulant_spectrum
         parent = os.getpid()
-        solved_in_helper = []
+        in_helper = []  # the helper's own copy counts its calls
+        if failure in ("exit", "MemoryError"):
+            solve = experiments.circulant_spectrum
 
-        def dies_in_helper(*blocks):
-            if os.getpid() != parent:
-                if len(solved_in_helper) == after:
-                    if failure == "exit":
-                        os._exit(1)
-                    raise MemoryError()
-                solved_in_helper.append(blocks[0].shape[0])
-            return solve(*blocks)
+            def dies_in_helper(*blocks):
+                if os.getpid() != parent:
+                    if len(in_helper) == after:
+                        if failure == "exit":
+                            os._exit(1)
+                        raise MemoryError()
+                    in_helper.append(blocks[0].shape[0])
+                return solve(*blocks)
 
-        monkeypatch.setattr(experiments, "circulant_spectrum", dies_in_helper)
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
-        _assert_same_points(_spectra(b_values, 100), expected)
+            monkeypatch.setattr(
+                experiments, "circulant_spectrum", dies_in_helper
+            )
+        budget = [None]
+        if failure in ("header", "payload"):
+
+            def opened(file, mode="r", *args, **kwargs):
+                handle = open(file, mode, *args, **kwargs)
+                if mode == "wb":
+                    return _DiesAfter(handle, budget[0])
+                return handle
+
+            monkeypatch.setattr(experiments, "open", opened, raising=False)
+        for each in EACH:
+            monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+            serial = _spectra(b_values, 100, each)
+            monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+            batch_sizes.clear()
+            # batch 1 is the grid's points 7 to 12, after pi^2
+            sent = 8 + len(pickle.dumps(serial[7:13]))
+            budget[0] = sent + 8
+            if failure == "payload":
+                budget[0] += (sent - 8) // 2
+            inner = each or (lambda *point: point)
+
+            def fails_in_helper(b, eigs):
+                if os.getpid() != parent:
+                    if len(in_helper) == 6:
+                        raise ValueError("each failed")
+                    in_helper.append(b)
+                return inner(b, eigs)
+
+            run = fails_in_helper if failure == "each" else each
+            _assert_same_points(_spectra(b_values, 100, run), serial)
+            assert batch_sizes == [6] * (6 - after) + [3]
 
     def test_failed_fork_leaves_the_helper_batches_here(
         self, monkeypatch, one_cpu
     ):
         b_values = _grid(100, 3)
-        expected = _spectra(b_values, 100)
+        expected = [_spectra(b_values, 100, each) for each in EACH]
 
         def no_process():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_process)
         monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
-        _assert_same_points(_spectra(b_values, 100), expected)
+        for each, points in zip(EACH, expected):
+            _assert_same_points(_spectra(b_values, 100, each), points)
 
     def test_no_helper_outlives_a_full_run(self, two_cpus, forks):
-        with time_limit(10.0):
-            _spectra(_grid(100, 7), 100)
-        assert len(forks) == 1
-        _assert_no_child_process()
+        for each in EACH:
+            forks.clear()
+            with time_limit(10.0):
+                _spectra(_grid(100, 7), 100, each)
+            assert len(forks) == 1
+            _assert_no_child_process()
 
     def test_no_helper_outlives_close(self, two_cpus, forks):
         # 30 batches: the helper is still solving, or blocked on a full
         # pipe, when the consumer stops
-        with time_limit(10.0):
-            spectra = experiments.difference_spectra(
-                -10.0, _grid(100, 30), 1.0, 100, 1e-9
-            )
-            next(spectra)
-            spectra.close()
-        assert len(forks) == 1
-        _assert_no_child_process()
+        for each in EACH:
+            forks.clear()
+            with time_limit(10.0):
+                points = _points(_grid(100, 30), 100, each)
+                next(points)
+                points.close()
+            assert len(forks) == 1
+            _assert_no_child_process()
 
     def test_no_helper_outlives_a_consumer_exception(self, two_cpus, forks):
         class Stop(Exception):
             pass
 
-        with time_limit(10.0):
-            with pytest.raises(Stop):
-                for _ in experiments.difference_spectra(
-                    -10.0, _grid(100, 30), 1.0, 100, 1e-9
-                ):
-                    raise Stop
-        assert len(forks) == 1
-        _assert_no_child_process()
-
-    def test_this_process_renders_batches_0_2_4(
-        self, monkeypatch, two_cpus, batch_sizes
-    ):
-        # the twin of test_this_process_solves_batches_0_2_4: a helper
-        # that failed every batch would leave its batches here, and only
-        # these counts would show it
-        b_values = [-10.0, -9.0, -8.0, -7.0, -6.0, -5.0, PI2]
-        b_values += [11.0 + i for i in range(8)]
-        text = _rendered(b_values, 100)
-        assert batch_sizes == [6, 2]
-        monkeypatch.setattr(experiments, "BATCH_ENTRIES", 1)
-        single = _rendered(b_values, 100)
-        assert batch_sizes == [6, 2] + [1] * 7
-        assert len(text) == 3 and len(single) == 14
-        expected = _one_cpu_text(monkeypatch, b_values, 100)
-        assert "".join(text) == "".join(single) == expected
-
-    @pytest.mark.parametrize("batches", [1, 2, 3, 7])
-    @pytest.mark.parametrize(
-        "modes_per_side, entries", [(1, 3), (100, None), (250, None)]
-    )
-    def test_rendered_text_equals_one_cpu(
-        self, monkeypatch, forks, modes_per_side, entries, batches
-    ):
-        if entries is not None:
-            monkeypatch.setattr(experiments, "BATCH_ENTRIES", entries)
-        b_values = _grid(modes_per_side, batches)
-        expected = _one_cpu_text(monkeypatch, b_values, modes_per_side)
-        serial = _rendered(b_values, modes_per_side)
-        assert forks == []
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
-        text = _rendered(b_values, modes_per_side)
-        assert len(forks) == (batches > 1)
-        assert len(text) == len(serial) == batches
-        assert "".join(text) == "".join(serial) == expected
-
-    @pytest.mark.parametrize("failure", ["header", "payload", "render"])
-    def test_dead_helper_leaves_its_rendered_batches_here(
-        self, monkeypatch, two_cpus, batch_sizes, failure
-    ):
-        # of 7 batches (six of 6 points, then 3) the helper takes 1, 3
-        # and 5; it sends batch 1, then dies after the header of batch 3,
-        # halfway through its payload, or raises in render.  This
-        # process then solves 3 and 5 as well as its own 0, 2, 4 and 6.
-        b_values = _grid(100, 7)
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
-        serial = _rendered(b_values, 100)
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
-        batch_sizes.clear()
-        sent = 8 + len(serial[1].encode())
-        if failure == "render":
-            parent = os.getpid()
-            rendered_in_helper = []
-
-            def render(b, eigs):
-                if os.getpid() != parent:
-                    if len(rendered_in_helper) == 6:
-                        raise ValueError("render failed")
-                    rendered_in_helper.append(b)
-                return _render(b, eigs)
-
-            text = list(
-                experiments.difference_spectra(
-                    -10.0, b_values, 1.0, 100, 1e-9, render
-                )
-            )
-        else:
-            budget = sent + 8
-            if failure == "payload":
-                budget += (sent - 8) // 2
-
-            def opened(file, mode="r", *args, **kwargs):
-                handle = open(file, mode, *args, **kwargs)
-                return _DiesAfter(handle, budget) if mode == "wb" else handle
-
-            monkeypatch.setattr(experiments, "open", opened, raising=False)
-            text = _rendered(b_values, 100)
-        assert "".join(text) == "".join(serial)
-        assert batch_sizes == [6, 6, 6, 6, 6, 3]
-
-    def test_no_helper_outlives_close_when_rendering(self, two_cpus, forks):
-        with time_limit(10.0):
-            batches = experiments.difference_spectra(
-                -10.0, _grid(100, 30), 1.0, 100, 1e-9, _render
-            )
-            next(batches)
-            batches.close()
-        assert len(forks) == 1
-        _assert_no_child_process()
-
-    def test_no_helper_outlives_a_consumer_exception_when_rendering(
-        self, two_cpus, forks
-    ):
-        class Stop(Exception):
-            pass
-
-        with time_limit(10.0):
-            with pytest.raises(Stop):
-                for _ in experiments.difference_spectra(
-                    -10.0, _grid(100, 30), 1.0, 100, 1e-9, _render
-                ):
-                    raise Stop
-        assert len(forks) == 1
-        _assert_no_child_process()
+        for each in EACH:
+            forks.clear()
+            with time_limit(10.0):
+                with pytest.raises(Stop):
+                    for _ in _points(_grid(100, 30), 100, each):
+                        raise Stop
+            assert len(forks) == 1
+            _assert_no_child_process()
 
 
 class TestCpuCount:

@@ -11,8 +11,8 @@ imported on such a line must be one the benchmark's tracer looks up.
 A resonant coefficient is refused in one place, so ``ResonanceError``
 is raised only by the gate and the two checks with messages of their
 own.  There is one parallel path and no environment knob: only
-``experiments._solved`` forks, and no module reads ``os.environ`` or
-``os.getenv``.
+``experiments._solved`` forks or pickles, and no module reads
+``os.environ`` or ``os.getenv``.
 """
 
 import ast
@@ -143,14 +143,14 @@ ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 def _references(names):
     """(module.top-level def, name) for each top-level def of src and
-    each of ``names`` that it uses or imports."""
+    each of ``names`` that it uses, imports or imports from."""
     for path in SOURCES:
         for top in ast.parse(path.read_text()).body:
             used = _used_names(top) | {
-                alias.name
+                name
                 for node in ast.walk(top)
                 if isinstance(node, ast.ImportFrom)
-                for alias in node.names
+                for name in (node.module, *(a.name for a in node.names))
             }
             where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             for name in used & names:
@@ -161,6 +161,16 @@ def test_only_the_parallel_solve_forks():
     # one parallel path: a second fork would need its own reaping
     forks = {where for where, _ in _references({"fork", "forkpty"})}
     assert forks == FORKERS, "fork only in experiments._solved"
+
+
+#: The one place in src that pickles: the parallel solve's frames
+PICKLERS = {"experiments._solved"}
+
+
+def test_only_the_parallel_solve_pickles():
+    # the frame format is known to one function
+    picklers = {where for where, _ in _references({"pickle"})}
+    assert picklers == PICKLERS, "pickle only in experiments._solved"
 
 
 def test_no_module_reads_the_environment():
