@@ -298,9 +298,11 @@ def _reduce(b, eigs):
 
 
 #: The per-point functions every parallel behaviour is checked with,
-#: one after the other: the default (b, eigs) pair (None), a CSV-style
-#: renderer and a sweep-style reducer
-EACH = (None, _render, _reduce)
+#: one after the other: the default (b, eigs) pair (None), a
+#: sweep-style reducer and a CSV-style renderer.  Where a behaviour has
+#: a test of its own for the rendered text, the first two are UNRENDERED
+UNRENDERED = (None, _reduce)
+EACH = UNRENDERED + (_render,)
 
 
 class _DiesAfter:
@@ -339,13 +341,22 @@ class TestParallelSolve:
     def test_this_process_solves_batches_0_2_4(
         self, monkeypatch, two_cpus, batch_sizes
     ):
+        self._solves_batches_0_2_4(monkeypatch, batch_sizes, UNRENDERED)
+
+    def test_this_process_renders_batches_0_2_4(
+        self, monkeypatch, two_cpus, batch_sizes
+    ):
+        self._solves_batches_0_2_4(monkeypatch, batch_sizes, (_render,))
+
+    @staticmethod
+    def _solves_batches_0_2_4(monkeypatch, batch_sizes, each_set):
         # the grid of test_batches_follow_input_order: batches of 6, 6
         # and 2 points, then 14 of one; the helper's calls are not seen,
         # so a helper that failed every batch would show only here
         b_values = [-10.0, -9.0, -8.0, -7.0, -6.0, -5.0, PI2]
         b_values += [11.0 + i for i in range(8)]
         entries = experiments.BATCH_ENTRIES
-        for each in EACH:
+        for each in each_set:
             monkeypatch.setattr(experiments, "BATCH_ENTRIES", entries)
             monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
             batch_sizes.clear()
@@ -365,11 +376,30 @@ class TestParallelSolve:
     def test_spectra_equal_one_cpu(
         self, monkeypatch, forks, modes_per_side, entries, batches
     ):
+        self._equal_one_cpu(
+            monkeypatch, forks, modes_per_side, entries, batches, UNRENDERED
+        )
+
+    @pytest.mark.parametrize("batches", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "modes_per_side, entries", [(1, 3), (100, None), (250, None)]
+    )
+    def test_rendered_text_equals_one_cpu(
+        self, monkeypatch, forks, modes_per_side, entries, batches
+    ):
+        self._equal_one_cpu(
+            monkeypatch, forks, modes_per_side, entries, batches, (_render,)
+        )
+
+    @staticmethod
+    def _equal_one_cpu(
+        monkeypatch, forks, modes_per_side, entries, batches, each_set
+    ):
         if entries is not None:
             monkeypatch.setattr(experiments, "BATCH_ENTRIES", entries)
         b_values = _grid(modes_per_side, batches)
         zero = np.zeros(4 * modes_per_side)
-        for each in EACH:
+        for each in each_set:
             forks.clear()
             monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
             expected = _spectra(b_values, modes_per_side, each)
@@ -474,9 +504,16 @@ class TestParallelSolve:
             _assert_no_child_process()
 
     def test_no_helper_outlives_close(self, two_cpus, forks):
+        self._no_helper_outlives_close(forks, UNRENDERED)
+
+    def test_no_helper_outlives_close_when_rendering(self, two_cpus, forks):
+        self._no_helper_outlives_close(forks, (_render,))
+
+    @staticmethod
+    def _no_helper_outlives_close(forks, each_set):
         # 30 batches: the helper is still solving, or blocked on a full
         # pipe, when the consumer stops
-        for each in EACH:
+        for each in each_set:
             forks.clear()
             with time_limit(10.0):
                 points = _points(_grid(100, 30), 100, each)
@@ -486,10 +523,19 @@ class TestParallelSolve:
             _assert_no_child_process()
 
     def test_no_helper_outlives_a_consumer_exception(self, two_cpus, forks):
+        self._no_helper_outlives_a_consumer_exception(forks, UNRENDERED)
+
+    def test_no_helper_outlives_a_consumer_exception_when_rendering(
+        self, two_cpus, forks
+    ):
+        self._no_helper_outlives_a_consumer_exception(forks, (_render,))
+
+    @staticmethod
+    def _no_helper_outlives_a_consumer_exception(forks, each_set):
         class Stop(Exception):
             pass
 
-        for each in EACH:
+        for each in each_set:
             forks.clear()
             with time_limit(10.0):
                 with pytest.raises(Stop):
