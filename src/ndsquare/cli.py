@@ -84,7 +84,9 @@ def _add_common(parser: argparse.ArgumentParser, *, tol: bool = True) -> None:
         "--guard", type=float, default=DEFAULT_GUARD,
         help="resonance guard tolerance (default 1e-9)",
     )
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    parser.add_argument(
+        "--out", type=str, default=None, help="output path (default stdout)"
+    )
 
 
 def _add_b_grid(parser: argparse.ArgumentParser) -> None:
@@ -293,8 +295,13 @@ def _run_truncation_check(parser: _Parser, args: argparse.Namespace) -> int:
     params_a = ProblemParams(
         a=args.a, k=args.k, modes_per_side=j_modes, guard=args.guard
     )
-    params_b = None if args.b is None else dataclasses.replace(params_a, a=args.b)
-    per_a, per_b, diff = linalg._truncation_check(params_a, params_b)
+    per_a = linalg.truncation_error(params_a)
+    per_b = diff = None
+    if args.b is not None:
+        per_b = linalg.truncation_error(dataclasses.replace(params_a, a=args.b))
+        diff = linalg.difference_truncation_error(
+            args.a, args.b, args.k, j_modes, args.guard
+        )
     if args.format == "json":
         payload = {
             "a": args.a, "b": args.b, "k": args.k, "modes_per_side": j_modes,

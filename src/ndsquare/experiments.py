@@ -38,6 +38,7 @@ inputs, bit for bit the same on any number of CPUs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -162,7 +163,8 @@ def _solved(work, batches: list) -> Iterator:
     early (or it could not be forked), this process does the rest of
     its batches, so a failure there ends as the serial path's own
     result or exception.  On every exit the read ends are closed and
-    every helper is killed and reaped.
+    every helper is killed and reaped, unless it has been reaped
+    already (as where SIGCHLD is ignored).
     """
     workers = min(_cpu_count(), len(batches))
     pids, readers = [], {}
@@ -206,9 +208,15 @@ def _solved(work, batches: list) -> Iterator:
     finally:
         for reader in readers.values():
             reader.close()
+        # where SIGCHLD is ignored, a helper is reaped as it exits, so
+        # its kill or wait may find it gone, and a wait may block until
+        # every child has exited: so every kill comes first
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def difference_spectra(

@@ -27,7 +27,10 @@ the estimate decays only like 1/modes_per_side.
 difference of two operators, where the diagonals cancel to O(1/j^3)
 and the estimate is several orders of magnitude smaller; this is the
 relevant quantity when counting negative eigenvalues of such
-differences.
+differences.  Each estimator builds the side blocks it needs and works
+on them in place: it subtracts the base blocks for a difference and
+zeroes the kept corner.  ``ndsquare truncation-check`` calls the two
+estimators.
 """
 
 from __future__ import annotations
@@ -153,8 +156,9 @@ def circulant_spectrum(
 
 def _border_norm(blocks: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     # spectral norm of the entries outside the upper-left 4*(J/2) corner;
-    # zeroing the first J/2 modes of every side block (in place) keeps
-    # the matrix block-circulant, so the block solver applies
+    # zeroing the first J/2 modes of every side block (in place, so the
+    # caller passes blocks of its own) keeps the matrix block-circulant,
+    # so the block solver applies
     same, opposite, block_next = blocks
     modes_per_side = same.shape[-1]
     if modes_per_side % 2 != 0:
@@ -212,31 +216,8 @@ def difference_truncation_error(
         ProblemParams(
             a=coefficient, k=k, modes_per_side=modes_per_side, guard=guard
         )
-    return _difference_border_norm(
-        side_blocks(b * k * k, modes_per_side),
-        side_blocks(a * k * k, modes_per_side),
-    )
-
-
-def _difference_border_norm(blocks, base) -> float:
-    # the border norm of blocks - base; both are left as they are, so
-    # their own border norms can be taken from them afterwards
-    return _border_norm(tuple(np.subtract(x, y) for x, y in zip(blocks, base)))
-
-
-def _truncation_check(
-    params_a: ProblemParams, params_b: ProblemParams | None
-) -> tuple[float, float | None, float | None]:
-    """``truncation_error`` of a and of b, and b's difference estimate.
-
-    The same three numbers as the public estimators give, with each
-    coefficient's side blocks built once; without ``params_b`` only
-    the first is computed.
-    """
-    j_modes = params_a.modes_per_side
-    blocks_a = side_blocks(params_a.a * params_a.k * params_a.k, j_modes)
-    if params_b is None:
-        return _border_norm(blocks_a), None, None
-    blocks_b = side_blocks(params_b.a * params_b.k * params_b.k, j_modes)
-    diff = _difference_border_norm(blocks_b, blocks_a)
-    return _border_norm(blocks_a), _border_norm(blocks_b), diff
+    blocks = side_blocks(b * k * k, modes_per_side)
+    base = side_blocks(a * k * k, modes_per_side)
+    for block, base_block in zip(blocks, base):
+        block -= base_block
+    return _border_norm(blocks)

@@ -40,7 +40,6 @@ import numpy as np
 from .spectrum import (
     DEFAULT_GUARD,
     PI2,
-    ModeIndex,
     ResonanceError,
     _checked_threshold,
 )
@@ -54,7 +53,7 @@ from .spectrum import is_resonant  # noqa: F401
 BLOCK_MODES = 16384
 
 
-def embedding_eigenvalue(mode: ModeIndex | tuple[int, int]) -> float:
+def embedding_eigenvalue(mode: tuple[int, int]) -> float:
     """Eigenvalue 1/(1 + pi^2*(l^2+m^2)) of the compact embedding operator."""
     l, m = mode
     if l < 0 or m < 0:
@@ -63,7 +62,7 @@ def embedding_eigenvalue(mode: ModeIndex | tuple[int, int]) -> float:
 
 
 def solution_diff_coefficient(
-    mode: ModeIndex | tuple[int, int],
+    mode: tuple[int, int],
     a: float,
     b: float,
     k: float = 1.0,

@@ -33,8 +33,8 @@ than ``RESONANCE_SCAN_STEPS`` lattice steps), ``is_resonant`` raises
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 PI2 = math.pi ** 2
 
@@ -50,13 +50,6 @@ RESONANCE_SCAN_STEPS = 2 ** 20
 
 class ResonanceError(ValueError):
     """Raised when a*k^2 is within the guard of a Neumann eigenvalue."""
-
-
-class ModeIndex(NamedTuple):
-    """Lattice index (l, m) of a Neumann eigenmode of the unit square."""
-
-    l: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,8 @@ class ProblemParams:
         If ``a * k**2`` lies within ``guard`` of pi^2*(l^2+m^2) for some
         mode, i.e. the Neumann problem is (numerically) ill-posed.
     ValueError
-        If k <= 0, modes_per_side < 1, or guard <= 0.
+        If k <= 0, modes_per_side is not an integer >= 1, or
+        guard <= 0.
     """
 
     a: float
@@ -91,9 +85,14 @@ class ProblemParams:
     guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
-        if self.modes_per_side < 1:
+        try:
+            valid = operator.index(self.modes_per_side) >= 1
+        except TypeError:  # 2.5, say, or 4.0
+            valid = False
+        if not valid:
             raise ValueError(
-                f"modes_per_side must be >= 1, got {self.modes_per_side}"
+                f"modes_per_side must be an integer >= 1, "
+                f"got {self.modes_per_side!r}"
             )
         # is_resonant refuses a k or a guard that is not positive
         _checked_threshold(self.a, self.k, self.guard)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ndsquare.linalg import _require_symmetric
 from ndsquare.nd_matrix import NdMatrix
-from ndsquare.spectrum import PI2, ModeIndex, ProblemParams, multiplicity
+from ndsquare.spectrum import PI2, ProblemParams, multiplicity
 
 SIDE_RIGHT, SIDE_TOP, SIDE_LEFT, SIDE_BOTTOM = 0, 1, 2, 3
 
@@ -32,9 +32,7 @@ def normalizer(j: int) -> float:
     return 1.0 if j == 0 else math.sqrt(2.0)
 
 
-def overlap_integral(
-    p: int, j: int, mode: ModeIndex | tuple[int, int]
-) -> float:
+def overlap_integral(p: int, j: int, mode: tuple[int, int]) -> float:
     """Boundary overlap of basis function (side p, frequency j) with mode (l, m).
 
     The four closed forms, one per side:
@@ -134,7 +132,7 @@ def max_symmetry_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.T) / denom))
 
 
-def neumann_eigenvalue(mode: ModeIndex | tuple[int, int]) -> float:
+def neumann_eigenvalue(mode: tuple[int, int]) -> float:
     """Neumann eigenvalue pi^2*(l^2 + m^2) of -Delta for the given mode."""
     l, m = mode
     if l < 0 or m < 0:

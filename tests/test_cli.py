@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ndsquare
-from ndsquare import experiments, linalg, nd_matrix, spectrum
+from ndsquare import experiments, linalg, nd_matrix
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
@@ -512,41 +512,45 @@ class TestTruncationCheckCommand:
             main(["truncation-check", "--a", "-10", "--size", "20"])
         assert exc.value.code == 1
 
-    def test_each_coefficient_is_decided_and_assembled_once(
-        self, capsys, monkeypatch
-    ):
-        # two coefficients: two resonance decisions, two block builds
-        # and three spectra (a's border, b's border, the difference's),
-        # with the numbers of the public estimators
-        calls = {"is_resonant": 0, "side_blocks": 0, "circulant_spectrum": 0}
-        for module, name in (
-            (spectrum, "is_resonant"),
-            (linalg, "side_blocks"),
-            (linalg, "circulant_spectrum"),
-        ):
-            def counted(*args, _fn=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
+    @staticmethod
+    def _estimates(b):
+        # the public estimators at a = -10 and J = 8, as --size 32 gives
+        params_a = ProblemParams(a=-10.0, modes_per_side=8)
+        per_a = linalg.truncation_error(params_a)
+        if b is None:
+            return per_a, None, None
+        per_b = linalg.truncation_error(ProblemParams(a=b, modes_per_side=8))
+        diff = linalg.difference_truncation_error(-10.0, b, modes_per_side=8)
+        return per_a, per_b, diff
 
-            monkeypatch.setattr(module, name, counted)
+    def test_json_has_the_public_estimators_values(self, capsys):
         code, out, _ = run(
             capsys, "truncation-check", "--a", "-10", "--b", "5",
             "--size", "32", "--format", "json",
         )
-        monkeypatch.undo()
         assert code == 0
-        assert calls == {
-            "is_resonant": 2, "side_blocks": 2, "circulant_spectrum": 3
-        }
         payload = json.loads(out)
-        params = ProblemParams(a=-10.0, modes_per_side=8)
-        assert payload["per_operator_a"] == linalg.truncation_error(params)
-        assert payload["per_operator_b"] == linalg.truncation_error(
-            ProblemParams(a=5.0, modes_per_side=8)
-        )
-        assert payload["difference"] == linalg.difference_truncation_error(
-            -10.0, 5.0, modes_per_side=8
-        )
+        assert (
+            payload["per_operator_a"], payload["per_operator_b"],
+            payload["difference"],
+        ) == self._estimates(5.0)
+
+    @pytest.mark.parametrize(
+        "b", [None, 5.0, 200.0], ids=["a-only", "b-5", "b-200"]
+    )
+    def test_text_has_the_public_estimators_values(self, capsys, b):
+        argv = ["truncation-check", "--a", "-10", "--size", "32"]
+        if b is not None:
+            argv += ["--b", repr(b)]
+        code, out, err = run(capsys, *argv)
+        per_a, per_b, diff = self._estimates(b)
+        lines = [f"per_operator_truncation_error a=-10: {per_a:.17g}"]
+        if b is not None:
+            lines += [
+                f"per_operator_truncation_error b={b:.17g}: {per_b:.17g}",
+                f"difference_truncation_error: {diff:.17g}",
+            ]
+        assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
 
     def test_resonant_a_is_refused_before_b(self, capsys):
         code, out, err = run(
@@ -808,6 +812,36 @@ def test_closed_pipe_exits_2_with_one_line_and_no_child():
     assert err.startswith("ndsquare trajectories: ")
     assert "Broken pipe" in err
     assert err.count("\n") == 1
+
+
+#: Runs the console script on two CPUs with SIGCHLD ignored, as a parent
+#: that ignores it leaves it across exec: each helper is then reaped as
+#: it exits, before the parallel solve kills and waits for it
+_SIGCHLD_IGNORED = """\
+import signal
+from ndsquare import cli, experiments
+signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+experiments._cpu_count = lambda: 2
+cli.console_entry()
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep", "trajectories"])
+def test_helpers_reaped_elsewhere_leave_no_trace(tmp_path, one_cpu, command):
+    # the helper ends its last batch while this process still solves
+    # the grid's last batch, so it is gone when the solve is closed
+    argv = [
+        command, "--a", "-10", "--b-min", "-9", "--b-max", "200",
+        "--b-step", "1", "--size", "400",
+    ]
+    expected = _cli_bytes(tmp_path, argv, to_file=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(ndsquare.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIGCHLD_IGNORED, *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.stderr.decode() == ""
+    assert (proc.returncode, proc.stdout) == expected
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,9 @@ A resonant coefficient is refused in one place, so ``ResonanceError``
 is raised only by the gate and the two checks with messages of their
 own.  There is one parallel path and no environment knob: only
 ``experiments._solved`` forks or pickles, and no module reads
-``os.environ`` or ``os.getenv``.
+``os.environ`` or ``os.getenv``.  No module reads a private name of
+another through attribute access (``linalg._x``), so the CLI calls the
+same public entry points as a user of the library.
 """
 
 import ast
@@ -178,3 +180,20 @@ def test_no_module_reads_the_environment():
     # variable of the environment
     readers = sorted(_references(ENVIRONMENT_READERS))
     assert readers == [], "take a setting as a flag, not from os.environ"
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    # one implementation per quantity: a second module that needs a
+    # private helper calls the public function built on it instead
+    modules = {path.stem for path in SOURCES}
+    reads = sorted(
+        f"{path.stem}: {node.value.id}.{node.attr}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules - {path.stem}
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    )
+    assert reads == [], "use the public entry point of the other module"

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from ndsquare.linalg import difference_truncation_error
 from ndsquare.nd_matrix import opposite_side_entry, same_side_entry
 from ndsquare.solution_op import exact_negative_count
 from ndsquare.spectrum import (
-    ModeIndex,
     ProblemParams,
     ResonanceError,
     is_resonant,
@@ -44,7 +44,8 @@ class TestNeumannEigenvalue:
         )
 
     def test_accepts_mode_index(self):
-        assert neumann_eigenvalue(ModeIndex(3, 4)) == pytest.approx(25 * PI2)
+        # a mode index is the plain pair (l, m)
+        assert neumann_eigenvalue((3, 4)) == pytest.approx(25 * PI2)
 
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
@@ -294,6 +295,7 @@ class TestConstructEvenMultiplicity:
 class TestProblemParams:
     def test_size(self):
         assert ProblemParams(a=-1.0, k=1.0, modes_per_side=25).size == 100
+        assert ProblemParams(a=-1.0, modes_per_side=np.int64(3)).size == 12
 
     def test_rejects_nonpositive_wavenumber(self):
         with pytest.raises(ValueError):
@@ -304,6 +306,12 @@ class TestProblemParams:
     def test_rejects_bad_mode_count(self):
         with pytest.raises(ValueError):
             ProblemParams(a=-1.0, modes_per_side=0)
+
+    @pytest.mark.parametrize("modes", [2.5, 4.0, "4", None])
+    def test_rejects_non_integral_mode_count(self, modes):
+        # a count with no matrix: 2.5 would give a size of 10.0
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            ProblemParams(a=-1.0, modes_per_side=modes)
 
     def test_rejects_nonpositive_guard(self):
         with pytest.raises(ValueError):
