@@ -23,17 +23,16 @@ All three consume :func:`difference_spectra`, the one experiment loop.
 It solves the grid in batches of points, with one
 :func:`~ndsquare.nd_matrix.side_blocks` and one
 :func:`~ndsquare.linalg.circulant_spectrum` call per batch, and yields
-a consumer's per-point result ``each(b, spectrum)`` in grid order as
-soon as the point's batch is solved, so a consumer that streams holds
-one batch at a time.  On Linux, in a process with one thread, forked
-helper processes solve every W-th batch on the other CPUs of the
-affinity mask, apply ``each`` to its points and pipe the results back
-as one length-prefixed pickled frame per batch, so a consumer's
-reduction or formatting runs where the batch was solved
-(``numpy.linalg.eigvalsh`` holds the GIL, so threads would not
-overlap); elsewhere the loop is serial.  The dense 4J×4J matrix is
-never formed, and the outputs are deterministic functions of the
-inputs, bit for bit the same on any number of CPUs.
+a consumer's finished per-point result ``each(b, spectrum)`` in grid
+order as soon as the point's batch is solved, so a consumer that
+streams holds one batch at a time.  On Linux, in a process with one
+thread, forked helper processes solve every W-th batch on the other
+CPUs of the affinity mask, apply ``each`` to its points and pipe each
+batch's results back as one plain pickle, so the results are built
+where the batch was solved (``numpy.linalg.eigvalsh`` holds the GIL,
+so threads would not overlap); elsewhere the loop is serial.  The
+dense 4J×4J matrix is never formed, and the outputs are deterministic
+functions of the inputs, bit for bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -152,19 +151,18 @@ def _solved(work, batches: list) -> Iterator:
 
     With W = min(:func:`_cpu_count`, number of batches), the first
     next() forks W - 1 helpers.  Helper w does batches w, w + W, ...
-    and sends each result through its own pipe as one frame: the byte
-    count of ``pickle.dumps(result)`` in 8 little-endian bytes, then
-    those bytes.  It leaves by ``os._exit``, so it never returns into
-    the caller's stack and flushes no inherited buffer.  This process
-    does batches 0, W, 2W, ... itself, without pickling them, and reads
-    the others in order, unpickling a frame once its header and payload
-    are whole.  So each result has the bits of its serial run and no
-    more processes work than there are CPUs.  If a helper's stream ends
-    early (or it could not be forked), this process does the rest of
-    its batches, so a failure there ends as the serial path's own
-    result or exception.  On every exit the read ends are closed and
-    every helper is killed and reaped, unless it has been reaped
-    already (as where SIGCHLD is ignored).
+    and pickles each result into its own pipe, flushed at once.  It
+    leaves by ``os._exit``, so it never returns into the caller's stack
+    and flushes no inherited buffer.  This process does batches 0, W,
+    2W, ... itself, without pickling them, and unpickles the others in
+    order: a pickle ends itself, and one cut short raises EOFError or
+    UnpicklingError.  So each result has the bits of its serial run
+    and no more processes work than there are CPUs.  If a helper's
+    stream ends early (or it could not be forked), this process does
+    the rest of its batches, so a failure there ends as the serial
+    path's own result or exception.  On every exit the read ends are
+    closed and every helper is killed and reaped, unless it has been
+    reaped already (as where SIGCHLD is ignored).
     """
     workers = min(_cpu_count(), len(batches))
     pids, readers = [], {}
@@ -184,9 +182,7 @@ def _solved(work, batches: list) -> Iterator:
                         reader.close()
                     with open(fd_write, "wb") as out:
                         for batch in batches[w::workers]:
-                            payload = pickle.dumps(work(batch))
-                            out.write(len(payload).to_bytes(8, "little"))
-                            out.write(payload)
+                            pickle.dump(work(batch), out)
                             out.flush()
                 finally:
                     os._exit(0)
@@ -196,14 +192,13 @@ def _solved(work, batches: list) -> Iterator:
         for i, batch in enumerate(batches):
             reader = readers.get(i % workers)
             if reader is not None:
-                header = reader.read(8)
-                if len(header) == 8:
-                    nbytes = int.from_bytes(header, "little")
-                    payload = reader.read(nbytes)
-                    if len(payload) == nbytes:
-                        yield pickle.loads(payload)
-                        continue
-                readers.pop(i % workers).close()
+                try:
+                    result = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    readers.pop(i % workers).close()
+                else:
+                    yield result
+                    continue
             yield work(batch)
     finally:
         for reader in readers.values():
@@ -243,11 +238,11 @@ def difference_spectra(
 
     The first next() spreads the batches over the CPUs (see
     :func:`_solved`): ``each`` runs on a solved point in the process
-    that solved its batch, so a result that comes from a helper is a
-    pickled copy, and on a resonant b in this process.  The helper
-    processes get the base blocks through the fork, and exhausting,
-    closing or dropping the iterator kills and reaps them.  Every
-    spectrum handed to ``each`` is writable.
+    that solved its batch, so a result that comes from a helper is an
+    unpickled copy, and on a resonant b in this process.  The helpers
+    get the base blocks and ``each``, with what it reads then, through
+    that fork, and exhausting, closing or dropping the iterator kills
+    and reaps them.  Every spectrum handed to ``each`` is writable.
     """
     ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     if any(b < a for b in b_values):
@@ -284,9 +279,9 @@ def sweep(
 ) -> list[BoundReport]:
     """Per-b comparison of measured negative counts with the lattice bound.
 
-    The matrix at coefficient a is assembled once and reused.  Each
-    b must satisfy b >= a; resonant b values produce skipped reports.
-    A resonant a is an error (the whole sweep would be meaningless).
+    Each report is built where its point was solved.  Each b must
+    satisfy b >= a; resonant b values produce skipped reports.  A
+    resonant a is an error (the whole sweep would be meaningless).
 
     Resonance is decided once per coefficient, for a and every b, and
     then every b's lattice count is taken, all before the first
@@ -298,26 +293,20 @@ def sweep(
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
 
-    def measure(b: float, eigs: np.ndarray | None):
-        if eigs is None:
-            return None
-        return count_negative(eigs, delta), float(eigs[-1]), float(eigs[0])
-
-    rows = difference_spectra(a, b_values, k, modes_per_side, guard, measure)
-    modes_below_a = _modes_below(a * k * k)
-    bounds = [_modes_below(b * k * k) - modes_below_a for b in b_values]
-    reports = []
-    for b, bound, row in zip(b_values, bounds, rows):
-        negative, low, high = (None, None, None) if row is None else row
-        reports.append(
-            BoundReport(
-                a=a, b=b, k=k, modes_per_side=modes_per_side, delta=delta,
-                skipped=row is None, measured_negative=negative,
-                theoretical_bound=None if row is None else bound,
-                min_eigenvalue=low, max_eigenvalue=high,
-            )
+    def report(b: float, eigs: np.ndarray | None) -> BoundReport:
+        measured = (None,) * 4 if eigs is None else (
+            count_negative(eigs, delta), bounds[b],
+            float(eigs[-1]), float(eigs[0]),
         )
-    return reports
+        return BoundReport(
+            a, b, k, modes_per_side, delta, eigs is None, *measured
+        )
+
+    reports = difference_spectra(a, b_values, k, modes_per_side, guard, report)
+    # report reads this dict, bound after every b is decided, before any solve
+    modes_below_a = _modes_below(a * k * k)
+    bounds = {b: _modes_below(b * k * k) - modes_below_a for b in b_values}
+    return list(reports)
 
 
 def trajectories(

@@ -336,6 +336,8 @@ def load_matrix(stream: TextIO) -> NdMatrix:
     if len(header) != 4:
         raise ValueError(f"malformed dump header: {header!r}")
     n, k, a = int(header[0]), float(header[1]), float(header[2])
+    if n < 4:
+        raise ValueError(f"matrix size {n} is below 4, one mode per side")
     if n % 4 != 0:
         raise ValueError(f"matrix size {n} is not divisible by 4")
     if header[3] != "closed_form":

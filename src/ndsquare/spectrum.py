@@ -52,6 +52,14 @@ class ResonanceError(ValueError):
     """Raised when a*k^2 is within the guard of a Neumann eigenvalue."""
 
 
+def _is_positive_integer(value) -> bool:
+    """True for an integer >= 1; ``operator.index`` refuses 2.5 or 4.0."""
+    try:
+        return operator.index(value) >= 1
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Configuration shared by all matrix and experiment operations.
@@ -85,11 +93,7 @@ class ProblemParams:
     guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
-        try:
-            valid = operator.index(self.modes_per_side) >= 1
-        except TypeError:  # 2.5, say, or 4.0
-            valid = False
-        if not valid:
+        if not _is_positive_integer(self.modes_per_side):
             raise ValueError(
                 f"modes_per_side must be an integer >= 1, "
                 f"got {self.modes_per_side!r}"

@@ -420,16 +420,17 @@ class TestParallelSolve:
     @pytest.mark.parametrize(
         "failure, after",
         [("exit", 0), ("exit", 1), ("MemoryError", 0), ("MemoryError", 1),
-         ("header", 1), ("payload", 1), ("each", 1)],
+         ("header", 1), ("payload", 1), ("short", 1), ("each", 1)],
     )
     def test_dead_helper_leaves_its_batches_here(
         self, monkeypatch, two_cpus, batch_sizes, failure, after
     ):
         # of 7 batches (six of 6 points, then 3) the helper takes 1, 3
         # and 5.  It sends ``after`` batches, then dies before its next
-        # solve, after that batch's header or halfway through its
-        # payload, or raises in ``each``.  This process then solves the
-        # helper's rest as well as its own 0, 2, 4 and 6.
+        # solve, after the first 8 bytes of the next frame, halfway
+        # through it or one byte before its end (a pickle lacking only
+        # its STOP opcode), or raises in ``each``.  This process then
+        # solves the helper's rest as well as its own 0, 2, 4 and 6.
         b_values = _grid(100, 7)
         parent = os.getpid()
         in_helper = []  # the helper's own copy counts its calls
@@ -449,7 +450,7 @@ class TestParallelSolve:
                 experiments, "circulant_spectrum", dies_in_helper
             )
         budget = [None]
-        if failure in ("header", "payload"):
+        if failure in ("header", "payload", "short"):
 
             def opened(file, mode="r", *args, **kwargs):
                 handle = open(file, mode, *args, **kwargs)
@@ -464,10 +465,12 @@ class TestParallelSolve:
             monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
             batch_sizes.clear()
             # batch 1 is the grid's points 7 to 12, after pi^2
-            sent = 8 + len(pickle.dumps(serial[7:13]))
+            sent = len(pickle.dumps(serial[7:13]))
             budget[0] = sent + 8
             if failure == "payload":
                 budget[0] += (sent - 8) // 2
+            if failure == "short":  # batch 3 is the points 19 to 24
+                budget[0] = sent + len(pickle.dumps(serial[19:25])) - 1
             inner = each or (lambda *point: point)
 
             def fails_in_helper(b, eigs):

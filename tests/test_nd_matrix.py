@@ -9,6 +9,7 @@ series.
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -692,6 +693,16 @@ class TestDumpFormat:
         message = f"a*k^2 = {float(a)!r} (a={float(a)!r}, k=1.0) is not a"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_matrix(io.StringIO(text))
+
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_load_rejects_a_size_below_4_before_its_body(self, size):
+        # numpy would warn on the empty body of a 0 header
+        text = f"{size} 1 1 closed_form\n"
+        message = f"matrix size {size} is below 4, one mode per side"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_matrix(io.StringIO(text))
 
     def test_load_rejects_a_size_not_divisible_by_4(self):
         text = "6 1 -1 closed_form\n" + "0 0 0 0 0 0\n" * 6

@@ -1,6 +1,7 @@
 """Tests for the diagonalized solution-operator difference."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,16 @@ class TestExactNegativeCount:
     def test_rejects_a_cutoff_below_one(self):
         with pytest.raises(ValueError, match="mode_cutoff must be >= 1"):
             exact_negative_count(-1.0, 5.0, mode_cutoff=0)
+
+    @pytest.mark.parametrize("cutoff", [40.0, 2.5, "40", None])
+    def test_rejects_a_cutoff_that_is_not_an_integer(self, cutoff):
+        message = f"mode_cutoff must be >= 1 and an integer, got {cutoff!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exact_negative_count(-10.0, 5.0, mode_cutoff=cutoff)
+
+    def test_accepts_a_numpy_integer_cutoff(self):
+        count = exact_negative_count(-10.0, 5.0, mode_cutoff=np.int64(40))
+        assert count == exact_negative_count(-10.0, 5.0, mode_cutoff=40)
 
     def test_detects_too_small_cutoff(self):
         # pi^2 * 3^2 < 150: sign changes could hide beyond the cutoff
