@@ -20,8 +20,8 @@ difference of two truncated Neumann-to-Dirichlet matrices:
   half the width and both attempts are reported.
 
 All three consume :func:`difference_spectra`, the one experiment loop.
-It solves the grid in batches of points, with one
-:func:`~ndsquare.nd_matrix.side_blocks` and one
+It solves the grid in batches of points, all in the same buffers, with
+one :func:`~ndsquare.nd_matrix.side_blocks` and one
 :func:`~ndsquare.linalg.circulant_spectrum` call per batch, and yields
 a consumer's finished per-point result ``each(b, spectrum)`` in grid
 order as soon as the point's batch is solved, so a consumer that
@@ -51,6 +51,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .linalg import DEFAULT_DELTA, circulant_spectrum, count_negative
+from .linalg import scratch_entries
 from .nd_matrix import side_blocks
 # bench/layers.py wraps these three names in this namespace, so they
 # stay bound; the experiments use the block path and sweep rows instead
@@ -161,11 +162,12 @@ def _solved(work, batches: list) -> Iterator:
     stream ends early (or it could not be forked), this process does
     the rest of its batches, so a failure there ends as the serial
     path's own result or exception.  On every exit the read ends are
-    closed and every helper is killed and reaped, unless it has been
-    reaped already (as where SIGCHLD is ignored).
+    closed and each helper is killed and reaped by the pidfd taken at
+    its fork, never by a pid that a reap elsewhere may have freed; one
+    without a pidfd leaves its batches here and dies at its next write.
     """
     workers = min(_cpu_count(), len(batches))
-    pids, readers = [], {}
+    pidfds, unsignalled, readers = [], [], {}
     try:
         for w in range(1, workers):
             fd_read, fd_write = os.pipe()
@@ -186,8 +188,13 @@ def _solved(work, batches: list) -> Iterator:
                             out.flush()
                 finally:
                     os._exit(0)
-            pids.append(pid)
             os.close(fd_write)
+            try:
+                pidfds.append(os.pidfd_open(pid))
+            except OSError:
+                unsignalled.append(pid)
+                os.close(fd_read)
+                continue
             readers[w] = open(fd_read, "rb")
         for i, batch in enumerate(batches):
             reader = readers.get(i % workers)
@@ -206,10 +213,14 @@ def _solved(work, batches: list) -> Iterator:
         # where SIGCHLD is ignored, a helper is reaped as it exits, so
         # its kill or wait may find it gone, and a wait may block until
         # every child has exited: so every kill comes first
-        for pid in pids:
+        for pidfd in pidfds:
             with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        for pid in pids:
+                signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+        for pidfd in pidfds:
+            with contextlib.suppress(ChildProcessError):
+                os.waitid(os.P_PIDFD, pidfd, os.WEXITED)
+            os.close(pidfd)
+        for pid in unsignalled:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
 
@@ -228,39 +239,45 @@ def difference_spectra(
     resonant b.  Before this returns, a and ``modes_per_side`` are
     validated by one :class:`ProblemParams`, every b is decided by one
     :func:`is_resonant` call (so a b that cannot be decided raises
-    here, before any eigensolve) and the side blocks of a are
-    assembled.  The valid b values are then solved in batches of
+    here, before any eigensolve), the side blocks of a are assembled
+    and the two buffers every batch is solved in are allocated.  The
+    valid b values are then solved in batches of
     ``max(1, BATCH_ENTRIES // modes_per_side**2)`` in input order: one
     :func:`side_blocks` call on the batch's array of b·k² and one
-    :func:`circulant_spectrum` call per batch.  Each spectrum is bit
-    for bit the spectrum of that b alone, and each result is yielded as
-    soon as its batch is solved.  No 4J×4J matrix is formed.
+    :func:`circulant_spectrum` call per batch, in those buffers, so the
+    heap is not trimmed and faulted back in at each batch.  Each
+    spectrum is bit for bit that of b alone, and each result is yielded
+    as soon as its batch is solved.  No 4J×4J matrix is formed.
 
     The first next() spreads the batches over the CPUs (see
     :func:`_solved`): ``each`` runs on a solved point in the process
     that solved its batch, so a result that comes from a helper is an
     unpickled copy, and on a resonant b in this process.  The helpers
-    get the base blocks and ``each``, with what it reads then, through
-    that fork, and exhausting, closing or dropping the iterator kills
-    and reaps them.  Every spectrum handed to ``each`` is writable.
+    get the base blocks, buffers and ``each``, with what it reads then,
+    through that fork, and exhausting, closing or dropping the iterator
+    kills and reaps them.  Every spectrum handed to ``each`` is writable.
     """
     ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     if any(b < a for b in b_values):
         raise ValueError("b >= a is required at every grid point")
     resonant = [is_resonant(b, k, guard) for b in b_values]
     base = side_blocks(a * k * k, modes_per_side)
+    size = max(1, BATCH_ENTRIES // modes_per_side**2)
+    next_block = np.empty((size, modes_per_side, modes_per_side))
+    scratch = np.empty(scratch_entries(size, modes_per_side))
     valid = [b for b, skip in zip(b_values, resonant) if not skip]
     ak2 = np.array([b * k * k for b in valid])
-    size = max(1, BATCH_ENTRIES // modes_per_side**2)
     batches = [
         slice(start, start + size) for start in range(0, len(valid), size)
     ]
 
     def solve(batch: slice) -> list:
-        blocks = side_blocks(ak2[batch], modes_per_side)
+        points = ak2[batch]
+        blocks = side_blocks(points, modes_per_side, next_block[: points.size])
         for block, base_block in zip(blocks, base):
             block -= base_block
-        return list(map(each, valid[batch], circulant_spectrum(*blocks)))
+        spectra = circulant_spectrum(*blocks, scratch)
+        return list(map(each, valid[batch], spectra))
 
     results = itertools.chain.from_iterable(_solved(solve, batches))
     return (

@@ -9,10 +9,10 @@ never mistaken for a genuine sign change.
 Neumann-to-Dirichlet matrix, or of a difference of two, from its side
 blocks by five small real symmetric eigensolves in three LAPACK
 calls, whose matrices are read off the even and odd parity blocks of
-the adjacent-side block.  It takes leading batch axes, so the
-experiments solve a batch of grid points in the same three calls on
-stacked problems; both estimators call it unbatched and take their
-spectral norms from it.
+the adjacent-side block.  It takes leading batch axes and a scratch
+buffer, so the experiments solve a batch of grid points in the same
+three calls on stacked problems, every batch in one scratch; both
+estimators call it unbatched and take their spectral norms from it.
 ``symmetric_eigenvalues`` of the dense matrix is its test oracle.
 
 Two truncation-error estimators are provided.  ``truncation_error``
@@ -80,8 +80,14 @@ def count_negative(eigenvalues, delta: float) -> int:
     return int(np.count_nonzero(eigs < -delta))
 
 
+def scratch_entries(members: int, modes_per_side: int) -> int:
+    """Scratch floats for ``members`` spectra: J² (R), 2 (a pair) at J = 1."""
+    return members * max(modes_per_side**2, 2)
+
+
 def circulant_spectrum(
-    same: np.ndarray, opposite: np.ndarray, block_next: np.ndarray
+    same: np.ndarray, opposite: np.ndarray, block_next: np.ndarray,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Descending spectrum of the block-circulant matrix of the side blocks.
 
@@ -112,12 +118,13 @@ def circulant_spectrum(
     batch costs three LAPACK calls.  R keeps the interleaved mode
     order; a reordered R rounds differently in LAPACK.
 
-    The pair is built in one buffer with the bits of diag ± coupling,
-    c = 2N[h, h]: p ± c on the diagonal and 0.0 ± c off it, which is
-    +0.0 where -c would be -0.0 (a zero entry of N, as in a zeroed
-    border).  Built as ``np.stack((diag + c, diag - c))`` instead, with
-    four more h×h temporaries per half, a spectrum took 8% longer at
-    J = 250 and the figure-1 sweep's peak RSS rose by 0.5 MB.
+    The even pair, the odd pair and then R are built in turn at the
+    front of ``scratch`` (:func:`scratch_entries` floats, allocated
+    when None), each entry written before it is read: a caller reusing
+    one for every batch spares the heap a trim and refault per batch.
+    The pair has the bits of diag ± c, c = 2N[h, h]: p ± c on the
+    diagonal, 0.0 ± c off it (+0.0 where -c is -0.0, at a zero of N as
+    in a zeroed border); ``np.stack`` of them took 8% longer at J = 250.
 
     Every block is symmetric by construction, so no symmetry check is
     made.  The dense path, :func:`symmetric_eigenvalues` of the
@@ -125,11 +132,15 @@ def circulant_spectrum(
     """
     lead = same.shape[:-1]
     j_modes = same.shape[-1]
+    members = int(np.prod(lead))
+    if scratch is None:
+        scratch = np.empty(scratch_entries(members, j_modes))
     plus = same + opposite
     parts = []
     for half in (slice(0, None, 2), slice(1, None, 2)):
         order = plus[..., half].shape[-1]
-        pair = np.empty(lead + (2, order, order))
+        pair = scratch[: members * 2 * order**2]
+        pair = pair.reshape(*lead, 2, order, order)
         up, down = pair[..., 0, :, :], pair[..., 1, :, :]
         np.multiply(block_next[..., half, half], 2, out=down)
         np.add(0.0, down, out=up)
@@ -139,16 +150,16 @@ def circulant_spectrum(
         np.add(plus[..., half], coupling, out=diagonal[..., 0, :])
         np.subtract(plus[..., half], coupling, out=diagonal[..., 1, :])
         parts.append(np.linalg.eigvalsh(pair).reshape(lead + (2 * order,)))
-    rotation = np.zeros(lead + (j_modes, j_modes))
+    rotation = scratch[: members * j_modes**2].reshape(*lead, j_modes, j_modes)
+    rotation[..., 0::2, 0::2] = rotation[..., 1::2, 1::2] = 0.0
     rotation.reshape(lead + (j_modes * j_modes,))[..., :: j_modes + 1] = (
         same - opposite
     )
-    rotation[..., 1::2, 0::2] = 2 * block_next[..., 1::2, 0::2]
-    # -2N[0::2, 1::2] by the sign of N; the transpose keeps a zero
-    # entry of N (equal coefficients, zeroed border) at +0.0
-    rotation[..., 0::2, 1::2] = np.swapaxes(
-        rotation[..., 1::2, 0::2], -1, -2
-    )
+    # -2N[0::2, 1::2] by the sign of N, as 2N[1::2, 0::2] transposed: a
+    # zero entry of N (equal coefficients, zeroed border) stays +0.0
+    odd_even = block_next[..., 1::2, 0::2]
+    np.multiply(odd_even, 2, out=rotation[..., 1::2, 0::2])
+    np.multiply(odd_even.swapaxes(-1, -2), 2, out=rotation[..., 0::2, 1::2])
     rotation = np.linalg.eigvalsh(rotation)
     parts += [rotation, rotation]
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1]

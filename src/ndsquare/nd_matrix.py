@@ -236,7 +236,7 @@ class NdMatrix:
 
 
 def side_blocks(
-    ak2: float | np.ndarray, modes_per_side: int
+    ak2: float | np.ndarray, modes_per_side: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three distinct side blocks of the truncated matrix.
 
@@ -260,14 +260,16 @@ def side_blocks(
     subtract their a*k^2 from it, and the first subtracts its own last.
     Then the numerator d_i*d_j, one of 1, sqrt(2) and sqrt(2)*sqrt(2),
     is divided in by region, and the sign (-1)^i applied last, since
-    IEEE division is sign-symmetric.  No J×J temporary is made.
+    IEEE division is sign-symmetric.  No J×J temporary is made, and
+    ``out`` of shape (P, J, J), if given, is that buffer.
     """
     ak2 = np.asarray(ak2, dtype=float)
     members = ak2.reshape(-1, 1, 1)
     idx = np.arange(modes_per_side)
     sq = np.square(idx, dtype=float)
 
-    block_next = np.empty((len(members), modes_per_side, modes_per_side))
+    shape = (len(members), modes_per_side, modes_per_side)
+    block_next = np.empty(shape) if out is None else out
     levels = block_next[:1]
     np.add(sq[:, None], sq, out=levels)
     levels *= PI2

@@ -4,10 +4,12 @@ Matrix sizes here are kept small for speed; the full-scale runs live in
 the acceptance suite.
 """
 
+import errno
 import math
 import os
 import pickle
 import re
+import sys
 import threading
 
 import numpy as np
@@ -223,6 +225,26 @@ class TestDifferenceSpectra:
             driver(-10.0, [5.0, 1e300], modes_per_side=4)
         with pytest.raises(ValueError, match="decidability limit"):
             experiments.difference_spectra(-10.0, [5.0, 1e300], 1.0, 4, 1e-9)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="minor faults as Linux counts"
+)
+def test_no_page_fault_churn_per_point(one_cpu):
+    # every batch is solved in buffers allocated once per call: at
+    # J = 250 (one point a batch) a point that allocated and freed its
+    # own J×J arrays took about 450 minor faults, as the heap was
+    # trimmed after it and faulted back in at the next one
+    resource = pytest.importorskip("resource")
+    b_values = [-9.0 + i for i in range(21)]
+    list(experiments.difference_spectra(-10.0, b_values[:1], 1.0, 250, 1e-9))
+    points = experiments.difference_spectra(-10.0, b_values, 1.0, 250, 1e-9)
+    next(points)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in points:
+        pass
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 50 * 20
 
 
 def _points(b_values, modes_per_side, each=None):
@@ -497,6 +519,29 @@ class TestParallelSolve:
         monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
         for each, points in zip(EACH, expected):
             _assert_same_points(_spectra(b_values, 100, each), points)
+
+    def test_without_a_pidfd_the_helper_batches_are_done_here(
+        self, monkeypatch, one_cpu, forks, batch_sizes
+    ):
+        # as on a kernel without pidfd_open: the helper is never
+        # signalled, its reader is closed at once, so it dies at its
+        # first write, and it is reaped by pid
+        b_values = _grid(100, 3)
+        expected = [_spectra(b_values, 100, each) for each in EACH]
+
+        def no_pidfd(pid, flags=0):
+            raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+        monkeypatch.setattr(os, "pidfd_open", no_pidfd)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        for each, points in zip(EACH, expected):
+            forks.clear()
+            batch_sizes.clear()
+            with time_limit(10.0):
+                _assert_same_points(_spectra(b_values, 100, each), points)
+            assert len(forks) == 1
+            assert batch_sizes == [6, 6, 3]
+            _assert_no_child_process()
 
     def test_no_helper_outlives_a_full_run(self, two_cpus, forks):
         for each in EACH:

@@ -12,6 +12,7 @@ from ndsquare.linalg import (
     circulant_spectrum,
     count_negative,
     difference_truncation_error,
+    scratch_entries,
     symmetric_eigenvalues,
     truncation_error,
 )
@@ -395,3 +396,46 @@ class TestBatchAxis:
         assert stacked.shape == (2, 2, 12)
         for row, case in zip(stacked.reshape(4, 12), cases):
             assert_same_bits(row, circulant_spectrum(*case))
+
+
+class TestReusedBuffers:
+    """What a reused buffer held before a call is never read."""
+
+    @pytest.mark.parametrize("members", [1, 2, 7])
+    @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 100, 251])
+    def test_stale_scratch_is_never_read(self, j_modes, members):
+        # the batch axis cases: b == a, a zeroed border as _border_norm
+        # passes it, differences and single operators, stacked in a
+        # scratch of exactly scratch_entries floats of NaN, then each
+        # alone in a NaN scratch larger than it needs
+        cases = batch_members(j_modes, members)
+        stacked = [
+            np.stack([case[part] for case in cases]) for part in range(3)
+        ]
+        scratch = np.full(scratch_entries(members, j_modes), np.nan)
+        assert_same_bits(
+            circulant_spectrum(*stacked, scratch), circulant_spectrum(*stacked)
+        )
+        for case in cases:
+            scratch[:] = np.nan
+            assert_same_bits(
+                circulant_spectrum(*case, scratch), circulant_spectrum(*case)
+            )
+
+    def test_scratch_entries_hold_the_pair_at_one_mode(self):
+        # R has J² entries, the stacked pair of order ceil(J/2) twice
+        # that square: more than J² only at J = 1
+        for j_modes in range(1, 40):
+            pair = 2 * ((j_modes + 1) // 2) ** 2
+            assert scratch_entries(3, j_modes) == 3 * max(j_modes**2, pair)
+
+    @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 100, 251])
+    def test_stale_next_block_is_never_read(self, j_modes):
+        ak2 = np.array([-10.0, 57.3, 200.0, -9.0])
+        for value, shape in ((ak2, ak2.shape), (ak2[:1], (1,)), (57.3, ())):
+            out = np.full((max(1, np.size(value)), j_modes, j_modes), np.nan)
+            blocks = side_blocks(value, j_modes, out)
+            assert np.shares_memory(blocks[2], out)
+            assert blocks[2].shape == shape + (j_modes, j_modes)
+            for part, fresh in zip(blocks, side_blocks(value, j_modes)):
+                assert_same_bits(part, fresh)

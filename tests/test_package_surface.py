@@ -12,9 +12,10 @@ A resonant coefficient is refused in one place, so ``ResonanceError``
 is raised only by the gate and the two checks with messages of their
 own.  There is one parallel path and no environment knob: only
 ``experiments._solved`` forks or pickles, and no module reads
-``os.environ`` or ``os.getenv``.  No module reads a private name of
-another through attribute access (``linalg._x``), so the CLI calls the
-same public entry points as a user of the library.
+``os.environ`` or ``os.getenv``.  No process is signalled by its pid
+(``os.kill``), which may have been reused.  No module reads a private
+name of another through attribute access (``linalg._x``), so the CLI
+calls the same public entry points as a user of the library.
 """
 
 import ast
@@ -173,6 +174,12 @@ def test_only_the_parallel_solve_pickles():
     # the frame format is known to one function
     picklers = {where for where, _ in _references({"pickle"})}
     assert picklers == PICKLERS, "pickle only in experiments._solved"
+
+
+def test_no_module_signals_a_pid():
+    # a helper reaped elsewhere frees its pid for reuse, so helpers are
+    # signalled through a pidfd, never by os.kill
+    assert sorted(_references({"kill", "killpg"})) == []
 
 
 def test_no_module_reads_the_environment():
