@@ -42,9 +42,9 @@ import itertools
 import math
 import os
 import pickle
-import signal
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -71,6 +71,20 @@ from .spectrum import (
 #: Next-side block entries P·J² per batch of grid points: a batch holds
 #: max(1, BATCH_ENTRIES // J**2) points, 6 at J = 100 and 1 from J = 182.
 BATCH_ENTRIES = 2**16
+
+#: The read end of every helper's pipe open in this process.  Any fork
+#: of this process closes them all at once, so that closing one here
+#: ends its helper at the next write and no other process keeps it open.
+_READERS = weakref.WeakSet()
+
+
+def _close_readers() -> None:
+    for reader in _READERS:
+        reader.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_readers)
 
 
 @dataclass(frozen=True)
@@ -162,12 +176,12 @@ def _solved(work, batches: list) -> Iterator:
     stream ends early (or it could not be forked), this process does
     the rest of its batches, so a failure there ends as the serial
     path's own result or exception.  On every exit the read ends are
-    closed and each helper is killed and reaped by the pidfd taken at
-    its fork, never by a pid that a reap elsewhere may have freed; one
-    without a pidfd leaves its batches here and dies at its next write.
+    closed and each helper is reaped, and no process is signalled: a
+    helper whose reader is closed dies at its next write, so an early
+    exit waits for at most the batch each helper is solving.
     """
     workers = min(_cpu_count(), len(batches))
-    pidfds, unsignalled, readers = [], [], {}
+    pids, readers = [], {}
     try:
         for w in range(1, workers):
             fd_read, fd_write = os.pipe()
@@ -180,8 +194,6 @@ def _solved(work, batches: list) -> Iterator:
             if pid == 0:
                 try:
                     os.close(fd_read)
-                    for reader in readers.values():
-                        reader.close()
                     with open(fd_write, "wb") as out:
                         for batch in batches[w::workers]:
                             pickle.dump(work(batch), out)
@@ -189,13 +201,9 @@ def _solved(work, batches: list) -> Iterator:
                 finally:
                     os._exit(0)
             os.close(fd_write)
-            try:
-                pidfds.append(os.pidfd_open(pid))
-            except OSError:
-                unsignalled.append(pid)
-                os.close(fd_read)
-                continue
+            pids.append(pid)
             readers[w] = open(fd_read, "rb")
+            _READERS.add(readers[w])
         for i, batch in enumerate(batches):
             reader = readers.get(i % workers)
             if reader is not None:
@@ -210,17 +218,7 @@ def _solved(work, batches: list) -> Iterator:
     finally:
         for reader in readers.values():
             reader.close()
-        # where SIGCHLD is ignored, a helper is reaped as it exits, so
-        # its kill or wait may find it gone, and a wait may block until
-        # every child has exited: so every kill comes first
-        for pidfd in pidfds:
-            with contextlib.suppress(ProcessLookupError):
-                signal.pidfd_send_signal(pidfd, signal.SIGKILL)
-        for pidfd in pidfds:
-            with contextlib.suppress(ChildProcessError):
-                os.waitid(os.P_PIDFD, pidfd, os.WEXITED)
-            os.close(pidfd)
-        for pid in unsignalled:
+        for pid in pids:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
 
@@ -254,8 +252,9 @@ def difference_spectra(
     that solved its batch, so a result that comes from a helper is an
     unpickled copy, and on a resonant b in this process.  The helpers
     get the base blocks, buffers and ``each``, with what it reads then,
-    through that fork, and exhausting, closing or dropping the iterator
-    kills and reaps them.  Every spectrum handed to ``each`` is writable.
+    through that fork; exhausting, closing or dropping the iterator
+    closes their pipes, which ends each at its next write, and reaps
+    them.  Every spectrum handed to ``each`` is writable.
     """
     ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     if any(b < a for b in b_values):

@@ -844,6 +844,38 @@ def test_helpers_reaped_elsewhere_leave_no_trace(tmp_path, one_cpu, command):
     assert (proc.returncode, proc.stdout) == expected
 
 
+def test_helpers_reaped_elsewhere_leave_no_trace_after_an_early_close():
+    # SIGCHLD is ignored, and the reader of stdout goes after the first
+    # bytes while the helper is still solving: the run ends with one
+    # line, no traceback and no child process left
+    script = (
+        "import signal\nsignal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+        + _NO_CHILD_LEFT
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ndsquare.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [
+        "trajectories", "--a", "-10", "--b-min", "-9", "--b-max", "200",
+        "--b-step", "0.25", "--size", "400",
+    ]
+    with subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        try:
+            assert proc.stdout.read(100).startswith(b"b,index,eigenvalue\n")
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.returncode is None:
+                proc.kill()
+        err = proc.stderr.read().decode()
+    assert code == 2
+    assert err.startswith("ndsquare trajectories: ")
+    assert "Broken pipe" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "module, argv",
     [

@@ -4,13 +4,13 @@ Matrix sizes here are kept small for speed; the full-scale runs live in
 the acceptance suite.
 """
 
-import errno
 import math
 import os
 import pickle
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +84,21 @@ class TestSweep:
         b_values = [5.0, -9.0, 2.0]
         reports = sweep(-10.0, b_values, modes_per_side=10)
         assert [r.b for r in reports] == b_values
+
+    @pytest.mark.parametrize(
+        "b", [1e4 + 0.5, 4e4 + 0.5, 1.6e5 + 0.5, 6.4e5 + 0.5]
+    )
+    def test_count_grows_like_the_boundary_not_the_area(self, b):
+        # a conjecture from measurements (README): for a <= 0 the count
+        # is about |∂Ω|·k·√b/4, which is √b on the unit square, while the
+        # lattice bound grows like the area term b/(4π).  At
+        # J = ⌊√b/π⌋ + 10 the count is settled: 1.5·J gives the same.
+        # Counts 103, 214, 423, 832; the band is never widened
+        modes = math.floor(math.sqrt(b) / math.pi) + 10
+        (row,) = sweep(-10.0, [b], modes_per_side=modes)
+        (finer,) = sweep(-10.0, [b], modes_per_side=3 * modes // 2)
+        assert finer.measured_negative == row.measured_negative
+        assert 1.00 <= row.measured_negative / math.sqrt(b) <= 1.10
 
     def test_first_crossing_detected(self):
         # one level (n=0) inside (-10, 5): the bound is 1 and at this
@@ -520,29 +535,6 @@ class TestParallelSolve:
         for each, points in zip(EACH, expected):
             _assert_same_points(_spectra(b_values, 100, each), points)
 
-    def test_without_a_pidfd_the_helper_batches_are_done_here(
-        self, monkeypatch, one_cpu, forks, batch_sizes
-    ):
-        # as on a kernel without pidfd_open: the helper is never
-        # signalled, its reader is closed at once, so it dies at its
-        # first write, and it is reaped by pid
-        b_values = _grid(100, 3)
-        expected = [_spectra(b_values, 100, each) for each in EACH]
-
-        def no_pidfd(pid, flags=0):
-            raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
-
-        monkeypatch.setattr(os, "pidfd_open", no_pidfd)
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
-        for each, points in zip(EACH, expected):
-            forks.clear()
-            batch_sizes.clear()
-            with time_limit(10.0):
-                _assert_same_points(_spectra(b_values, 100, each), points)
-            assert len(forks) == 1
-            assert batch_sizes == [6, 6, 3]
-            _assert_no_child_process()
-
     def test_no_helper_outlives_a_full_run(self, two_cpus, forks):
         for each in EACH:
             forks.clear()
@@ -569,6 +561,67 @@ class TestParallelSolve:
                 points.close()
             assert len(forks) == 1
             _assert_no_child_process()
+        # the helper is partway through a batch of 6 points at 0.1 s
+        # each when the consumer stops: close waits for that batch and
+        # no more, a small part of the helper's 15 batches
+        parent = os.getpid()
+        for each in each_set:
+            inner = each or (lambda *point: point)
+
+            def slow_in_helper(b, eigs):
+                if os.getpid() != parent:
+                    time.sleep(0.1)
+                return inner(b, eigs)
+
+            forks.clear()
+            points = _points(_grid(100, 30), 100, slow_in_helper)
+            next(points)
+            with time_limit(4.0):
+                points.close()
+            assert len(forks) == 1
+            _assert_no_child_process()
+
+    def test_no_helper_outlives_the_close_of_an_earlier_solve(
+        self, two_cpus, forks
+    ):
+        # the later solve's helper is forked while the earlier solve's
+        # pipe is open; closing the earlier solve first must still end
+        # its helper, which dies only once no process holds its reader
+        for each in EACH:
+            forks.clear()
+            with time_limit(10.0):
+                earlier = _points(_grid(100, 30), 100, each)
+                next(earlier)
+                later = _points(_grid(100, 30), 100, each)
+                next(later)
+                earlier.close()
+                later.close()
+            assert len(forks) == 2
+            _assert_no_child_process()
+
+    def test_no_helper_outlives_close_beside_a_process_forked_elsewhere(
+        self, two_cpus
+    ):
+        # a process forked by other code while the pipe is open, and
+        # still running when the solve is closed, holds no read end
+        points = _points(_grid(100, 30), 100)
+        next(points)
+        release, hold = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(hold)
+                os.read(release, 1)  # until this test has closed hold
+            finally:
+                os._exit(0)
+        os.close(release)
+        try:
+            with time_limit(10.0):
+                points.close()
+        finally:
+            os.close(hold)
+            os.waitpid(pid, 0)
+        _assert_no_child_process()
 
     def test_no_helper_outlives_a_consumer_exception(self, two_cpus, forks):
         self._no_helper_outlives_a_consumer_exception(forks, UNRENDERED)

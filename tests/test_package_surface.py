@@ -12,8 +12,10 @@ A resonant coefficient is refused in one place, so ``ResonanceError``
 is raised only by the gate and the two checks with messages of their
 own.  There is one parallel path and no environment knob: only
 ``experiments._solved`` forks or pickles, and no module reads
-``os.environ`` or ``os.getenv``.  No process is signalled by its pid
-(``os.kill``), which may have been reused.  No module reads a private
+``os.environ`` or ``os.getenv``.  No process is signalled: no module
+uses ``os.kill``, ``os.killpg``, ``signal.pidfd_send_signal`` or the
+``signal`` module, since the parallel solve ends a helper by closing
+its pipe, and a pid may have been reused.  No module reads a private
 name of another through attribute access (``linalg._x``), so the CLI
 calls the same public entry points as a user of the library.
 """
@@ -152,8 +154,11 @@ def _references(names):
             used = _used_names(top) | {
                 name
                 for node in ast.walk(top)
-                if isinstance(node, ast.ImportFrom)
-                for name in (node.module, *(a.name for a in node.names))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in (
+                    getattr(node, "module", None),
+                    *(a.name for a in node.names),
+                )
             }
             where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             for name in used & names:
@@ -166,8 +171,9 @@ def test_only_the_parallel_solve_forks():
     assert forks == FORKERS, "fork only in experiments._solved"
 
 
-#: The one place in src that pickles: the parallel solve's frames
-PICKLERS = {"experiments._solved"}
+#: The one place in src that pickles, the parallel solve's frames, and
+#: the module-level ``import pickle`` it needs
+PICKLERS = {"experiments.<module>", "experiments._solved"}
 
 
 def test_only_the_parallel_solve_pickles():
@@ -176,10 +182,16 @@ def test_only_the_parallel_solve_pickles():
     assert picklers == PICKLERS, "pickle only in experiments._solved"
 
 
+#: Names through which a module signals a process
+SIGNALLERS = {"kill", "killpg", "pidfd_send_signal", "signal"}
+
+
 def test_no_module_signals_a_pid():
-    # a helper reaped elsewhere frees its pid for reuse, so helpers are
-    # signalled through a pidfd, never by os.kill
-    assert sorted(_references({"kill", "killpg"})) == []
+    # a helper reaped elsewhere frees its pid for reuse, and a helper
+    # ends at its next write once its pipe is closed, so no process is
+    # signalled, by pid or by pidfd
+    signals = sorted(_references(SIGNALLERS))
+    assert signals == [], "close the helper's pipe instead of signalling"
 
 
 def test_no_module_reads_the_environment():
