@@ -27,12 +27,13 @@ a consumer's finished per-point result ``each(b, spectrum)`` in grid
 order as soon as the point's batch is solved, so a consumer that
 streams holds one batch at a time.  On Linux, in a process with one
 thread, forked helper processes solve every W-th batch on the other
-CPUs of the affinity mask, apply ``each`` to its points and pipe each
-batch's results back as one plain pickle, so the results are built
-where the batch was solved (``numpy.linalg.eigvalsh`` holds the GIL,
-so threads would not overlap); elsewhere the loop is serial.  The
-dense 4J×4J matrix is never formed, and the outputs are deterministic
-functions of the inputs, bit for bit the same on any number of CPUs.
+CPUs of the affinity mask, apply ``each`` to its points and send each
+batch's results back over a socket as one plain pickle, so the
+results are built where the batch was solved
+(``numpy.linalg.eigvalsh`` holds the GIL, so threads would not
+overlap); elsewhere the loop is serial.  The dense 4J×4J matrix is
+never formed, and the outputs are deterministic functions of the
+inputs, bit for bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import os
 import pickle
 import sys
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -69,23 +69,9 @@ from .spectrum import (
 )
 
 #: Next-side block entries P·J² per batch of grid points: a batch holds
-#: max(1, BATCH_ENTRIES // J**2) points, 6 at J = 100 and 1 from J = 182.
+#: max(1, BATCH_ENTRIES // J**2) points, 6 at J = 100 and 1 from J = 182,
+#: or all the valid points of a grid that has fewer.
 BATCH_ENTRIES = 2**16
-
-#: The read end of every helper's pipe open in this process.  Any fork
-#: of this process closes them all at once, so that closing one here
-#: ends its helper at the next write and no other process keeps it open.
-_READERS = weakref.WeakSet()
-
-
-def _close_readers() -> None:
-    for reader in _READERS:
-        reader.close()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_close_readers)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -166,7 +152,7 @@ def _solved(work, batches: list) -> Iterator:
 
     With W = min(:func:`_cpu_count`, number of batches), the first
     next() forks W - 1 helpers.  Helper w does batches w, w + W, ...
-    and pickles each result into its own pipe, flushed at once.  It
+    and pickles each result into its own socket, flushed at once.  It
     leaves by ``os._exit``, so it never returns into the caller's stack
     and flushes no inherited buffer.  This process does batches 0, W,
     2W, ... itself, without pickling them, and unpickles the others in
@@ -175,35 +161,37 @@ def _solved(work, batches: list) -> Iterator:
     and no more processes work than there are CPUs.  If a helper's
     stream ends early (or it could not be forked), this process does
     the rest of its batches, so a failure there ends as the serial
-    path's own result or exception.  On every exit the read ends are
-    closed and each helper is reaped, and no process is signalled: a
-    helper whose reader is closed dies at its next write, so an early
-    exit waits for at most the batch each helper is solving.
+    path's own result or exception.  On every exit each socket is shut
+    down and closed and each helper is reaped, and no process is
+    signalled: a shutdown acts on the connection, whatever other
+    process holds a copy of this end, so the helper dies at its next
+    write and an early exit waits for at most the batch it is solving.
     """
     workers = min(_cpu_count(), len(batches))
-    pids, readers = [], {}
+    pids, ends, readers = [], [], {}
+    if workers > 1:
+        import socket  # only here, so a serial solve never loads it
     try:
         for w in range(1, workers):
-            fd_read, fd_write = os.pipe()
+            here, there = socket.socketpair()
             try:
                 pid = os.fork()
             except OSError:  # out of processes: w's batches are done here
-                os.close(fd_read)
-                os.close(fd_write)
+                here.close()
+                there.close()
                 continue
             if pid == 0:
                 try:
-                    os.close(fd_read)
-                    with open(fd_write, "wb") as out:
+                    with open(there.detach(), "wb") as out:
                         for batch in batches[w::workers]:
                             pickle.dump(work(batch), out)
                             out.flush()
                 finally:
                     os._exit(0)
-            os.close(fd_write)
+            there.close()
             pids.append(pid)
-            readers[w] = open(fd_read, "rb")
-            _READERS.add(readers[w])
+            ends.append(here)
+            readers[w] = open(here.fileno(), "rb", closefd=False)
         for i, batch in enumerate(batches):
             reader = readers.get(i % workers)
             if reader is not None:
@@ -218,6 +206,9 @@ def _solved(work, batches: list) -> Iterator:
     finally:
         for reader in readers.values():
             reader.close()
+        for end in ends:
+            end.shutdown(socket.SHUT_RDWR)
+            end.close()
         for pid in pids:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
@@ -240,7 +231,8 @@ def difference_spectra(
     here, before any eigensolve), the side blocks of a are assembled
     and the two buffers every batch is solved in are allocated.  The
     valid b values are then solved in batches of
-    ``max(1, BATCH_ENTRIES // modes_per_side**2)`` in input order: one
+    ``max(1, min(valid, BATCH_ENTRIES // modes_per_side**2))`` in input
+    order, so a one-point grid allocates one member: one
     :func:`side_blocks` call on the batch's array of b·k² and one
     :func:`circulant_spectrum` call per batch, in those buffers, so the
     heap is not trimmed and faulted back in at each batch.  Each
@@ -253,18 +245,18 @@ def difference_spectra(
     unpickled copy, and on a resonant b in this process.  The helpers
     get the base blocks, buffers and ``each``, with what it reads then,
     through that fork; exhausting, closing or dropping the iterator
-    closes their pipes, which ends each at its next write, and reaps
-    them.  Every spectrum handed to ``each`` is writable.
+    shuts down their sockets, which ends each at its next write, and
+    reaps them.  Every spectrum handed to ``each`` is writable.
     """
     ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
     if any(b < a for b in b_values):
         raise ValueError("b >= a is required at every grid point")
     resonant = [is_resonant(b, k, guard) for b in b_values]
     base = side_blocks(a * k * k, modes_per_side)
-    size = max(1, BATCH_ENTRIES // modes_per_side**2)
+    valid = [b for b, skip in zip(b_values, resonant) if not skip]
+    size = max(1, min(len(valid), BATCH_ENTRIES // modes_per_side**2))
     next_block = np.empty((size, modes_per_side, modes_per_side))
     scratch = np.empty(scratch_entries(size, modes_per_side))
-    valid = [b for b, skip in zip(b_values, resonant) if not skip]
     ak2 = np.array([b * k * k for b in valid])
     batches = [
         slice(start, start + size) for start in range(0, len(valid), size)

@@ -11,16 +11,22 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ndsquare import experiments, spectrum
 from ndsquare.experiments import sweep, trajectories, verify_crossing
 from ndsquare.linalg import count_negative
+from ndsquare.nd_matrix import NEAR_LEVEL_SWITCH
 from ndsquare.spectrum import (
+    DEFAULT_GUARD,
     PI2,
     ResonanceError,
+    is_resonant,
     multiplicity,
     negative_eigenvalue_bound,
 )
@@ -242,6 +248,89 @@ class TestDifferenceSpectra:
             experiments.difference_spectra(-10.0, [5.0, 1e300], 1.0, 4, 1e-9)
 
 
+#: The levels pi^2*n up to n = 52 (every l, m with l² + m² <= 52 is
+#: below 8), and the gaps between consecutive ones up to n = 50, the
+#: first from -60
+_LEVELS = sorted({l * l + m * m for l in range(8) for m in range(8)})
+_GAPS = [(-60.0, 0.0)] + [
+    (PI2 * lo, PI2 * hi)
+    for lo, hi in zip(_LEVELS, _LEVELS[1:])
+    if hi <= 50
+]
+
+
+@st.composite
+def _same_gap_window(draw):
+    """(a, b1, b2) with a <= b1 < b2 and both b in one gap between two
+    levels, each b anywhere in it or 1e-3 to 1e-8 from one of its ends."""
+    lo, hi = draw(st.sampled_from(_GAPS))
+    near = st.builds(
+        lambda upper, exponent: (
+            hi - 10.0**-exponent if upper else lo + 10.0**-exponent
+        ),
+        st.booleans(),
+        st.floats(min_value=3.0, max_value=8.0),
+    )
+    inside = st.floats(
+        min_value=lo, max_value=hi, exclude_min=True, exclude_max=True
+    )
+    b1, b2 = sorted(draw(st.tuples(inside | near, inside | near)))
+    a = b1 - draw(st.floats(min_value=0.0, max_value=60.0))
+    return a, b1, b2
+
+
+def _closed_form_rounding(b):
+    # a diagonal entry is a function of b·k² with slope up to 2/L² at
+    # the distance L from its nearest level, and its closed form rounds
+    # b·k² to a few ulps on the way, so it can be off by a few
+    # 2ε·|b|/L².  Within NEAR_LEVEL_SWITCH of the level the pole is
+    # split off at the rounding every block uses, and the entry is good
+    # to a few ulps (test_split_entries_equal_the_50_digit_values)
+    distance = min(abs(b - PI2 * n) for n in _LEVELS)
+    if distance < NEAR_LEVEL_SWITCH:
+        return 0.0
+    return 2.0 * sys.float_info.epsilon * max(1.0, abs(b)) / distance**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=_same_gap_window(), modes_per_side=st.integers(4, 64))
+@example(  # b on either side of the switch, 1e-3 above the level 26π²
+    window=(26 * PI2 - 20.0, 26 * PI2 + 1e-3 - 1e-9, 26 * PI2 + 1e-3 + 1e-9),
+    modes_per_side=8,
+)
+@example(  # b2 one ulp above b1 = a, just outside the switch below 40π²
+    window=(40 * PI2 - 1.0005e-3, 40 * PI2 - 1.0005e-3,
+            math.nextafter(40 * PI2 - 1.0005e-3, math.inf)),
+    modes_per_side=8,
+)
+def test_spectrum_rises_with_b_between_levels(window, modes_per_side):
+    # dΛ(t)/dt = Σ φφᵀ/(π²(l²+m²) − t)² ⪰ 0 and the truncation is a
+    # compression, so between two levels every sorted eigenvalue of
+    # Λ(b) − Λ(a) is non-decreasing in b (Horn and Johnson, Matrix
+    # Analysis, Cor. 4.3.12).  The tolerance is rounding, in two parts.
+    # eigvalsh is backward stable: each computed eigenvalue lies within
+    # a small multiple of n·ε·‖D‖ of the exact one, at most
+    # 4J·ε = 5.7e-14 of max|eig| at J = 64, so 1e-12 of it.  Λ(a)
+    # cancels, but Λ(b1) and Λ(b2) each carry the rounding of their
+    # closed forms, which next to a level and outside the switch can
+    # exceed 1e-12 of max|eig|: the two examples fall by 2.2e-7 with
+    # max|eig| = 8e3 and by 1.4e-7 with max|eig| = 3.6e-7, 1.9 and 0.4
+    # of the summed estimate, so 16 of it is allowed.  Over 8000 drawn
+    # windows the largest fall was 1.1% of the whole tolerance.  An
+    # eigenvalue put in the wrong block or a pole with the wrong sign
+    # falls by about the spacing of the spectrum, many orders above.
+    a, b1, b2 = window
+    assume(b1 < b2)
+    assume(not any(is_resonant(c, 1.0, DEFAULT_GUARD) for c in window))
+    (_, at_b1), (_, at_b2) = experiments.difference_spectra(
+        a, [b1, b2], 1.0, modes_per_side, DEFAULT_GUARD
+    )
+    lower, upper = at_b1[::-1], at_b2[::-1]
+    scale = max(1.0, np.abs(lower).max(), np.abs(upper).max())
+    rounding = 16.0 * (_closed_form_rounding(b1) + _closed_form_rounding(b2))
+    assert np.all(lower <= upper + 1e-12 * scale + rounding)
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="minor faults as Linux counts"
 )
@@ -346,7 +435,7 @@ class _DiesAfter:
     """A helper's write end that exits the helper after ``budget`` bytes.
 
     Installed through ``experiments.open``, which the helper calls to
-    open its end of the pipe.
+    open its end of the socket.
     """
 
     def __init__(self, out, budget):
@@ -744,6 +833,20 @@ class TestVerifyCrossing:
         assert report.attempts[1].measured == 2
         assert report.measured == 2
         assert report.agreed
+
+    def test_one_point_window_allocates_one_batch_member(self):
+        # an attempt is a one-point sweep, so its two batch buffers hold
+        # one J×J member each: a traced peak of about 12 kB at J = 10,
+        # where the BATCH_ENTRIES // J² = 655 members of a full batch
+        # would take 1.06 MB
+        verify_crossing(5, modes_per_side=10)  # imports and caches
+        tracemalloc.start()
+        try:
+            verify_crossing(5, modes_per_side=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_expected_equals_multiplicity(self):
         for n in (0, 1, 2, 4, 5):

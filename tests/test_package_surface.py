@@ -14,10 +14,12 @@ own.  There is one parallel path and no environment knob: only
 ``experiments._solved`` forks or pickles, and no module reads
 ``os.environ`` or ``os.getenv``.  No process is signalled: no module
 uses ``os.kill``, ``os.killpg``, ``signal.pidfd_send_signal`` or the
-``signal`` module, since the parallel solve ends a helper by closing
-its pipe, and a pid may have been reused.  No module reads a private
-name of another through attribute access (``linalg._x``), so the CLI
-calls the same public entry points as a user of the library.
+``signal`` module, since the parallel solve ends a helper by shutting
+down its socket, and a pid may have been reused.  No module installs a
+hook that runs in every fork (``os.register_at_fork``).  No module
+reads a private name of another through attribute access
+(``linalg._x``), so the CLI calls the same public entry points as a
+user of the library.
 """
 
 import ast
@@ -188,10 +190,18 @@ SIGNALLERS = {"kill", "killpg", "pidfd_send_signal", "signal"}
 
 def test_no_module_signals_a_pid():
     # a helper reaped elsewhere frees its pid for reuse, and a helper
-    # ends at its next write once its pipe is closed, so no process is
-    # signalled, by pid or by pidfd
+    # ends at its next write once its socket is shut down, so no
+    # process is signalled, by pid or by pidfd
     signals = sorted(_references(SIGNALLERS))
-    assert signals == [], "close the helper's pipe instead of signalling"
+    assert signals == [], "shut down the helper's socket, do not signal"
+
+
+def test_no_module_installs_a_fork_hook():
+    # a hook installed at import runs in every fork of any program that
+    # imports the package; a socket shutdown reaches the helper however
+    # many processes hold the caller's end, so none is needed
+    hooks = sorted(_references({"register_at_fork"}))
+    assert hooks == [], "end a helper through its socket, not a fork hook"
 
 
 def test_no_module_reads_the_environment():
