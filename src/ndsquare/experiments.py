@@ -20,8 +20,8 @@ difference of two truncated Neumann-to-Dirichlet matrices:
   half the width and both attempts are reported.
 
 All three consume :func:`difference_spectra`, the one experiment loop.
-It solves the grid in batches of points, all in the same buffers, with
-one :func:`~ndsquare.nd_matrix.side_blocks` and one
+It solves the grid in batches of points, all in one next-side block
+buffer, with one :func:`~ndsquare.nd_matrix.side_blocks` and one
 :func:`~ndsquare.linalg.circulant_spectrum` call per batch, and yields
 a consumer's finished per-point result ``each(b, spectrum)`` in grid
 order as soon as the point's batch is solved, so a consumer that
@@ -46,12 +46,11 @@ import pickle
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .linalg import DEFAULT_DELTA, circulant_spectrum, count_negative
-from .linalg import scratch_entries
 from .nd_matrix import side_blocks
 # bench/layers.py wraps these three names in this namespace, so they
 # stay bound; the experiments use the block path and sweep rows instead
@@ -216,7 +215,7 @@ def _solved(work, batches: list) -> Iterator:
 
 def difference_spectra(
     a: float,
-    b_values: Sequence[float],
+    b_values: Iterable[float],
     k: float,
     modes_per_side: int,
     guard: float,
@@ -229,13 +228,15 @@ def difference_spectra(
     validated by one :class:`ProblemParams`, every b is decided by one
     :func:`is_resonant` call (so a b that cannot be decided raises
     here, before any eigensolve), the side blocks of a are assembled
-    and the two buffers every batch is solved in are allocated.  The
-    valid b values are then solved in batches of
+    and the one next-side block buffer every batch is solved in is
+    allocated.  ``b_values`` may be any iterable; it is read once, into
+    a list.  The valid b values are then solved in batches of
     ``max(1, min(valid, BATCH_ENTRIES // modes_per_side**2))`` in input
     order, so a one-point grid allocates one member: one
     :func:`side_blocks` call on the batch's array of b·k² and one
-    :func:`circulant_spectrum` call per batch, in those buffers, so the
-    heap is not trimmed and faulted back in at each batch.  Each
+    :func:`circulant_spectrum` call per batch, which builds and solves
+    its problems in that buffer, so the heap is not trimmed and faulted
+    back in at each batch.  Each
     spectrum is bit for bit that of b alone, and each result is yielded
     as soon as its batch is solved.  No 4J×4J matrix is formed.
 
@@ -249,6 +250,7 @@ def difference_spectra(
     reaps them.  Every spectrum handed to ``each`` is writable.
     """
     ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
+    b_values = list(b_values)
     if any(b < a for b in b_values):
         raise ValueError("b >= a is required at every grid point")
     resonant = [is_resonant(b, k, guard) for b in b_values]
@@ -256,7 +258,6 @@ def difference_spectra(
     valid = [b for b, skip in zip(b_values, resonant) if not skip]
     size = max(1, min(len(valid), BATCH_ENTRIES // modes_per_side**2))
     next_block = np.empty((size, modes_per_side, modes_per_side))
-    scratch = np.empty(scratch_entries(size, modes_per_side))
     ak2 = np.array([b * k * k for b in valid])
     batches = [
         slice(start, start + size) for start in range(0, len(valid), size)
@@ -267,7 +268,7 @@ def difference_spectra(
         blocks = side_blocks(points, modes_per_side, next_block[: points.size])
         for block, base_block in zip(blocks, base):
             block -= base_block
-        spectra = circulant_spectrum(*blocks, scratch)
+        spectra = circulant_spectrum(*blocks)
         return list(map(each, valid[batch], spectra))
 
     results = itertools.chain.from_iterable(_solved(solve, batches))
@@ -279,7 +280,7 @@ def difference_spectra(
 
 def sweep(
     a: float,
-    b_values: Sequence[float],
+    b_values: Iterable[float],
     k: float = 1.0,
     modes_per_side: int = 100,
     delta: float = DEFAULT_DELTA,
@@ -300,6 +301,7 @@ def sweep(
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    b_values = list(b_values)
 
     def report(b: float, eigs: np.ndarray | None) -> BoundReport:
         measured = (None,) * 4 if eigs is None else (
@@ -319,7 +321,7 @@ def sweep(
 
 def trajectories(
     a: float,
-    b_values: Sequence[float],
+    b_values: Iterable[float],
     k: float = 1.0,
     modes_per_side: int = 100,
     guard: float = DEFAULT_GUARD,

@@ -7,12 +7,12 @@ never mistaken for a genuine sign change.
 
 ``circulant_spectrum`` computes the spectrum of the block-circulant
 Neumann-to-Dirichlet matrix, or of a difference of two, from its side
-blocks by five small real symmetric eigensolves in three LAPACK
-calls, whose matrices are read off the even and odd parity blocks of
-the adjacent-side block.  It takes leading batch axes and a scratch
-buffer, so the experiments solve a batch of grid points in the same
-three calls on stacked problems, every batch in one scratch; both
-estimators call it unbatched and take their spectral norms from it.
+blocks by five small real symmetric eigensolves, each built from the
+even and odd parity blocks of the adjacent-side block in that block's
+own storage, which it overwrites.  It takes leading batch axes, so the
+experiments solve a batch of grid points in the same five calls on
+stacked problems; both estimators call it unbatched and take their
+spectral norms from it.
 ``symmetric_eigenvalues`` of the dense matrix is its test oracle.
 
 Two truncation-error estimators are provided.  ``truncation_error``
@@ -80,14 +80,8 @@ def count_negative(eigenvalues, delta: float) -> int:
     return int(np.count_nonzero(eigs < -delta))
 
 
-def scratch_entries(members: int, modes_per_side: int) -> int:
-    """Scratch floats for ``members`` spectra: J² (R), 2 (a pair) at J = 1."""
-    return members * max(modes_per_side**2, 2)
-
-
 def circulant_spectrum(
-    same: np.ndarray, opposite: np.ndarray, block_next: np.ndarray,
-    scratch: np.ndarray | None = None,
+    same: np.ndarray, opposite: np.ndarray, block_next: np.ndarray
 ) -> np.ndarray:
     """Descending spectrum of the block-circulant matrix of the side blocks.
 
@@ -96,12 +90,14 @@ def circulant_spectrum(
     :func:`~ndsquare.nd_matrix.side_blocks` (or differences of them);
     the 4J eigenvalues are those of the dense matrix that
     :func:`~ndsquare.nd_matrix.assemble` would interleave from them.
+    ``block_next`` is overwritten: each problem is built and solved in
+    its storage.  ``same`` and ``opposite`` are only read.
 
     The blocks may carry leading batch axes: ``same`` and ``opposite``
     of shape (..., J) and ``block_next`` of shape (..., J, J) give the
     spectra of shape (..., 4J), each descending along the last axis and
     bit for bit the spectrum of that member alone.  A batch of P
-    members costs the same three LAPACK calls as one member, on stacks
+    members costs the same five LAPACK calls as one member, on stacks
     of P problems.
 
     The 4-point DFT over the sides (Davis, *Circulant Matrices*, 1979)
@@ -113,54 +109,37 @@ def circulant_spectrum(
     ± 2N[h, h] on the even and odd halves h, and R = diag(same -
     opposite) with R[0::2, 1::2] = -2N[0::2, 1::2] and R[1::2, 0::2] =
     2N[1::2, 0::2], counted twice: four eigensolves of order about J/2
-    and one of order J instead of one of order 4J.  The ± pair of each
-    half is solved as one stacked problem of shape (..., 2, h, h), so a
-    batch costs three LAPACK calls.  R keeps the interleaved mode
-    order; a reordered R rounds differently in LAPACK.
+    and one of order J instead of one of order 4J.  R keeps the
+    interleaved mode order; a reordered R rounds differently in LAPACK.
 
-    The even pair, the odd pair and then R are built in turn at the
-    front of ``scratch`` (:func:`scratch_entries` floats, allocated
-    when None), each entry written before it is read: a caller reusing
-    one for every batch spares the heap a trim and refault per batch.
-    The pair has the bits of diag ± c, c = 2N[h, h]: p ± c on the
-    diagonal, 0.0 ± c off it (+0.0 where -c is -0.0, at a zero of N as
-    in a zeroed border); ``np.stack`` of them took 8% longer at J = 250.
-
-    Every block is symmetric by construction, so no symmetry check is
-    made.  The dense path, :func:`symmetric_eigenvalues` of the
+    Each half h is doubled in place to c = 2N[h, h], made 0.0 + c and
+    then 0.0 - (0.0 + c), which has the bits of 0.0 - c, with p ± c
+    written on the diagonal, p = (same + opposite)[h]: the bits of
+    diag(p) ± c, +0.0 where -c is -0.0 (at a zero of N, as in a zeroed
+    border).  Every block is symmetric by construction, so no symmetry
+    check is made.  The dense path, :func:`symmetric_eigenvalues` of the
     assembled matrix, is the test oracle for this one.
     """
-    lead = same.shape[:-1]
-    j_modes = same.shape[-1]
-    members = int(np.prod(lead))
-    if scratch is None:
-        scratch = np.empty(scratch_entries(members, j_modes))
     plus = same + opposite
     parts = []
     for half in (slice(0, None, 2), slice(1, None, 2)):
-        order = plus[..., half].shape[-1]
-        pair = scratch[: members * 2 * order**2]
-        pair = pair.reshape(*lead, 2, order, order)
-        up, down = pair[..., 0, :, :], pair[..., 1, :, :]
-        np.multiply(block_next[..., half, half], 2, out=down)
-        np.add(0.0, down, out=up)
-        diagonal = pair.reshape(lead + (2, order * order))[..., :: order + 1]
-        coupling = diagonal[..., 1, :].copy()
-        np.subtract(0.0, down, out=down)
-        np.add(plus[..., half], coupling, out=diagonal[..., 0, :])
-        np.subtract(plus[..., half], coupling, out=diagonal[..., 1, :])
-        parts.append(np.linalg.eigvalsh(pair).reshape(lead + (2 * order,)))
-    rotation = scratch[: members * j_modes**2].reshape(*lead, j_modes, j_modes)
-    rotation[..., 0::2, 0::2] = rotation[..., 1::2, 1::2] = 0.0
-    rotation.reshape(lead + (j_modes * j_modes,))[..., :: j_modes + 1] = (
-        same - opposite
-    )
+        block = block_next[..., half, half]
+        diagonal = np.einsum("...ii->...i", block)
+        block *= 2
+        coupling = diagonal.copy()
+        np.add(0.0, block, out=block)
+        np.add(plus[..., half], coupling, out=diagonal)
+        parts.append(np.linalg.eigvalsh(block))
+        np.subtract(0.0, block, out=block)
+        np.subtract(plus[..., half], coupling, out=diagonal)
+        parts.append(np.linalg.eigvalsh(block))
+    block_next[..., 0::2, 0::2] = block_next[..., 1::2, 1::2] = 0.0
+    np.einsum("...ii->...i", block_next)[...] = same - opposite
     # -2N[0::2, 1::2] by the sign of N, as 2N[1::2, 0::2] transposed: a
     # zero entry of N (equal coefficients, zeroed border) stays +0.0
-    odd_even = block_next[..., 1::2, 0::2]
-    np.multiply(odd_even, 2, out=rotation[..., 1::2, 0::2])
-    np.multiply(odd_even.swapaxes(-1, -2), 2, out=rotation[..., 0::2, 1::2])
-    rotation = np.linalg.eigvalsh(rotation)
+    block_next[..., 1::2, 0::2] *= 2
+    block_next[..., 0::2, 1::2] = block_next[..., 1::2, 0::2].swapaxes(-1, -2)
+    rotation = np.linalg.eigvalsh(block_next)
     parts += [rotation, rotation]
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1]
 

@@ -36,12 +36,12 @@ estimators never form the dense matrix:
 :func:`~ndsquare.linalg.circulant_spectrum` splits the block-circulant
 operator by the square's symmetry and the sign (-1)^i of the offset-1
 block into four real symmetric eigenproblems of order about J/2 and
-one of order J, all read off that block's parity blocks.  ``assemble``
-interleaves the same blocks into the dense matrix, which remains the
-test oracle for that solver and the content of the dump.  The closed
-forms themselves are checked against a truncation of the underlying
-double series over interior modes, which lives with the tests
-(``tests/oracles.py``).
+one of order J, all built in that block's storage from its parity
+blocks.  ``assemble`` interleaves the same blocks into the dense
+matrix, which remains the test oracle for that solver and the content
+of the dump.  The closed forms themselves are checked against a
+truncation of the underlying double series over interior modes, which
+lives with the tests (``tests/oracles.py``).
 
 Poles of the closed forms (vanishing denominators, cot/csc poles and
 branch points) all correspond to a*k^2 hitting a Neumann eigenvalue

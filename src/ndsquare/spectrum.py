@@ -53,7 +53,12 @@ class ResonanceError(ValueError):
 
 
 def _is_positive_integer(value) -> bool:
-    """True for an integer >= 1; ``operator.index`` refuses 2.5 or 4.0."""
+    """True for an integer >= 1; ``operator.index`` refuses 2.5 or 4.0.
+
+    A bool is refused too: True is no count, though it indexes as 1.
+    """
+    if isinstance(value, bool):
+        return False
     try:
         return operator.index(value) >= 1
     except TypeError:

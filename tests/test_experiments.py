@@ -234,6 +234,34 @@ class TestDifferenceSpectra:
         next(spectra)
         assert batch_sizes == [6]
 
+    def test_grid_may_be_any_iterable(self):
+        # the grid is read once: the b >= a check used to spend an
+        # iterator, which then gave no points
+        b_values = [5.0, 6.0, PI2, 7.5]
+        for experiment in (sweep, trajectories):
+            expected = experiment(-10.0, b_values, modes_per_side=4)
+            assert len(expected) == 4
+            for grid in ((b for b in b_values), map(float, b_values)):
+                assert experiment(-10.0, grid, modes_per_side=4) == expected
+        expected = _spectra(b_values, 4)
+        assert len(expected) == 4
+        for grid in ((b for b in b_values), map(float, b_values)):
+            _assert_same_points(_spectra(grid, 4), expected)
+
+    def test_one_point_solves_in_the_next_block(self, one_cpu):
+        # at J = 250 a one-point batch builds and solves its five
+        # problems in its 0.5 MB next-side block: a traced peak of about
+        # 1.15 MB, where a second buffer for them took 1.65 MB
+        args = (-10.0, [57.3], 1.0, 250, 1e-9)
+        list(experiments.difference_spectra(*args))  # imports and caches
+        tracemalloc.start()
+        try:
+            list(experiments.difference_spectra(*args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_400_000
+
     @pytest.mark.parametrize("driver", [sweep, trajectories])
     def test_undecidable_b_fails_before_any_eigensolve(
         self, monkeypatch, one_cpu, driver
@@ -835,8 +863,8 @@ class TestVerifyCrossing:
         assert report.agreed
 
     def test_one_point_window_allocates_one_batch_member(self):
-        # an attempt is a one-point sweep, so its two batch buffers hold
-        # one J×J member each: a traced peak of about 12 kB at J = 10,
+        # an attempt is a one-point sweep, so its batch buffer holds
+        # one J×J member: a traced peak of about 12 kB at J = 10,
         # where the BATCH_ENTRIES // J² = 655 members of a full batch
         # would take 1.06 MB
         verify_crossing(5, modes_per_side=10)  # imports and caches

@@ -12,7 +12,6 @@ from ndsquare.linalg import (
     circulant_spectrum,
     count_negative,
     difference_truncation_error,
-    scratch_entries,
     symmetric_eigenvalues,
     truncation_error,
 )
@@ -275,6 +274,10 @@ def assert_same_bits(x, y):
     assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def copies(blocks):
+    return [block.copy() for block in blocks]
+
+
 def difference_blocks(a, b, j_modes):
     blocks = side_blocks(b, j_modes)
     for block, base_block in zip(blocks, side_blocks(a, j_modes)):
@@ -283,7 +286,7 @@ def difference_blocks(a, b, j_modes):
 
 
 class TestStackedPairs:
-    """One eigvalsh call per parity half returns the five-call bits."""
+    """Problems built in the next-side block return the five-call bits."""
 
     @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 40, 51])
     def test_figure_1_differences_and_single_operators(self, j_modes):
@@ -298,7 +301,7 @@ class TestStackedPairs:
                 side_blocks(b, j_modes),
             ):
                 assert_same_bits(
-                    circulant_spectrum(*blocks),
+                    circulant_spectrum(*copies(blocks)),
                     five_call_circulant_spectrum(*blocks),
                 )
             checked += 1
@@ -320,7 +323,7 @@ class TestStackedPairs:
                 same[np.diagonal(zeros)] = fill
                 opposite[np.diagonal(zeros)] = fill
                 assert_same_bits(
-                    circulant_spectrum(same, opposite, block_next),
+                    circulant_spectrum(same, opposite, block_next.copy()),
                     five_call_circulant_spectrum(same, opposite, block_next),
                 )
 
@@ -332,7 +335,7 @@ class TestStackedPairs:
         seen = []
 
         def both(*blocks):
-            new = circulant_spectrum(*blocks)
+            new = circulant_spectrum(*copies(blocks))
             assert_same_bits(new, five_call_circulant_spectrum(*blocks))
             seen.append(blocks)
             return new
@@ -380,7 +383,7 @@ class TestBatchAxis:
         )
         assert stacked.shape == (members, 4 * j_modes)
         for row, case in zip(stacked, cases):
-            assert_same_bits(row, circulant_spectrum(*case))
+            assert_same_bits(row, circulant_spectrum(*copies(case)))
             assert_same_bits(row, five_call_circulant_spectrum(*case))
 
     def test_two_batch_axes(self):
@@ -403,31 +406,22 @@ class TestReusedBuffers:
 
     @pytest.mark.parametrize("members", [1, 2, 7])
     @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 100, 251])
-    def test_stale_scratch_is_never_read(self, j_modes, members):
-        # the batch axis cases: b == a, a zeroed border as _border_norm
-        # passes it, differences and single operators, stacked in a
-        # scratch of exactly scratch_entries floats of NaN, then each
-        # alone in a NaN scratch larger than it needs
+    def test_only_the_next_block_is_overwritten(self, j_modes, members):
+        # the batch axis cases, stacked and then each alone: same and
+        # opposite keep their bits, and each spectrum has the bits of
+        # the five-call oracle on untouched copies of the blocks
         cases = batch_members(j_modes, members)
+        oracle = [five_call_circulant_spectrum(*case) for case in cases]
         stacked = [
             np.stack([case[part] for case in cases]) for part in range(3)
         ]
-        scratch = np.full(scratch_entries(members, j_modes), np.nan)
-        assert_same_bits(
-            circulant_spectrum(*stacked, scratch), circulant_spectrum(*stacked)
-        )
-        for case in cases:
-            scratch[:] = np.nan
-            assert_same_bits(
-                circulant_spectrum(*case, scratch), circulant_spectrum(*case)
-            )
-
-    def test_scratch_entries_hold_the_pair_at_one_mode(self):
-        # R has J² entries, the stacked pair of order ceil(J/2) twice
-        # that square: more than J² only at J = 1
-        for j_modes in range(1, 40):
-            pair = 2 * ((j_modes + 1) // 2) ** 2
-            assert scratch_entries(3, j_modes) == 3 * max(j_modes**2, pair)
+        for blocks, expected in [(stacked, np.stack(oracle))] + list(
+            zip(cases, oracle)
+        ):
+            kept = copies(blocks)
+            assert_same_bits(circulant_spectrum(*blocks), expected)
+            assert_same_bits(blocks[0], kept[0])
+            assert_same_bits(blocks[1], kept[1])
 
     @pytest.mark.parametrize("j_modes", [1, 2, 3, 11, 100, 251])
     def test_stale_next_block_is_never_read(self, j_modes):

@@ -98,7 +98,7 @@ class TestExactNegativeCount:
         with pytest.raises(ValueError, match="mode_cutoff must be >= 1"):
             exact_negative_count(-1.0, 5.0, mode_cutoff=0)
 
-    @pytest.mark.parametrize("cutoff", [40.0, 2.5, "40", None])
+    @pytest.mark.parametrize("cutoff", [40.0, 2.5, "40", None, True, False])
     def test_rejects_a_cutoff_that_is_not_an_integer(self, cutoff):
         message = f"mode_cutoff must be >= 1 and an integer, got {cutoff!r}"
         with pytest.raises(ValueError, match=re.escape(message)):

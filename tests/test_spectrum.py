@@ -307,9 +307,10 @@ class TestProblemParams:
         with pytest.raises(ValueError):
             ProblemParams(a=-1.0, modes_per_side=0)
 
-    @pytest.mark.parametrize("modes", [2.5, 4.0, "4", None])
+    @pytest.mark.parametrize("modes", [2.5, 4.0, "4", None, True, False])
     def test_rejects_non_integral_mode_count(self, modes):
-        # a count with no matrix: 2.5 would give a size of 10.0
+        # a count with no matrix: 2.5 would give a size of 10.0, and
+        # True, which indexes as 1, made assemble fail in numpy
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             ProblemParams(a=-1.0, modes_per_side=modes)
 
