@@ -12,7 +12,7 @@ truncation-check per-operator and difference truncation-error estimates
 Exit codes: 0 success, 1 invalid flags (usage), 2 precondition or
 resonance errors (one-line diagnostic on stderr).  Output files are
 byte-identical for identical configurations; reals in CSV carry 17
-significant digits and round-trip exactly.
+significant digits and round-trip exactly; JSON holds the records' fields.
 """
 
 from __future__ import annotations
@@ -101,33 +101,39 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ndsquare", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
+    # each subparser is handed to its runner, so usage errors name it
 
     p = sub.add_parser("sweep", help="negative counts vs lattice bound over a b grid")
     p.add_argument("--a", type=float, required=True)
     _add_b_grid(p)
     _add_common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(run=_run_sweep, parser=p)
 
     p = sub.add_parser("trajectories", help="difference spectra over a b grid")
     p.add_argument("--a", type=float, required=True)
     _add_b_grid(p)
     _add_common(p, tol=False)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(run=_run_trajectories, parser=p)
 
     p = sub.add_parser("crossing", help="crossing experiment at level pi^2*n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.1)
     _add_common(p)
+    p.set_defaults(run=_run_crossing, parser=p)
 
     p = sub.add_parser("bound", help="print the lattice bound for (a, b)")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
+    p.set_defaults(run=_run_bound, parser=p)
 
     p = sub.add_parser("assemble-dump", help="dump the closed-form matrix")
     p.add_argument("--a", type=float, required=True)
     _add_common(p, tol=False)
+    p.set_defaults(run=_run_assemble_dump, parser=p)
 
     p = sub.add_parser(
         "truncation-check",
@@ -138,10 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=float, default=None)
     _add_common(p, tol=False)
     p.add_argument("--format", choices=("text", "json"), default="text")
-
-    # handlers report usage errors under their own subcommand's usage
-    for command_parser in sub.choices.values():
-        command_parser.set_defaults(parser=command_parser)
+    p.set_defaults(run=_run_truncation_check, parser=p)
     return parser
 
 
@@ -188,7 +191,8 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Indented sorted JSON; ``default=vars`` encodes a record as its fields."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=vars) + "\n"
 
 
 def _run_sweep(parser: _Parser, args: argparse.Namespace) -> int:
@@ -201,7 +205,7 @@ def _run_sweep(parser: _Parser, args: argparse.Namespace) -> int:
         delta=args.tol, guard=args.guard,
     )
     if args.format == "json":
-        _emit((_json_dumps([dataclasses.asdict(r) for r in reports]),), args.out)
+        _emit((_json_dumps(reports),), args.out)
         return 0
     lines = [SWEEP_CSV_HEADER]
     for r in reports:
@@ -224,7 +228,7 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
             args.a, b_values, k=args.k, modes_per_side=j_modes,
             guard=args.guard,
         )
-        _emit((_json_dumps([dataclasses.asdict(p) for p in points]),), args.out)
+        _emit((_json_dumps(points),), args.out)
         return 0
     # one template fills the 4J rows of a point at once; %.17g gives
     # the bytes of _fmt, -0, inf and nan included
@@ -263,10 +267,7 @@ def _run_crossing(parser: _Parser, args: argparse.Namespace) -> int:
         f"agreed={int(report.agreed)} attempts=[{attempts}]\n"
     )
     if args.out is not None:
-        payload = dataclasses.asdict(report)
-        payload["measured"] = report.measured
-        payload["agreed"] = report.agreed
-        _emit((_json_dumps(payload),), args.out)
+        _emit((_json_dumps(report),), args.out)
     return 0
 
 
@@ -320,22 +321,12 @@ def _run_truncation_check(parser: _Parser, args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "sweep": _run_sweep,
-    "trajectories": _run_trajectories,
-    "crossing": _run_crossing,
-    "bound": _run_bound,
-    "assemble-dump": _run_assemble_dump,
-    "truncation-check": _run_truncation_check,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        code = _COMMANDS[args.command](args.parser, args)
+        code = args.run(args.parser, args)
         # a reader of stdout that has gone fails here, not at exit
         sys.stdout.flush()
         return code

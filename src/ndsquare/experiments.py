@@ -62,6 +62,7 @@ from .spectrum import (
     PI2,
     ProblemParams,
     ResonanceError,
+    _level,
     _modes_below,
     is_resonant,
     multiplicity,
@@ -115,7 +116,8 @@ class CrossingReport:
 
     ``expected`` is the multiplicity of pi^2*n; ``attempts`` holds the
     (eps, measured) pairs actually run (one, or two when the first
-    width disagreed and was halved).
+    width disagreed and was halved).  ``measured`` is the last
+    attempt's count and ``agreed`` whether it equals ``expected``.
     """
 
     n: int
@@ -124,14 +126,8 @@ class CrossingReport:
     delta: float
     expected: int
     attempts: tuple[CrossingAttempt, ...]
-
-    @property
-    def measured(self) -> int:
-        return self.attempts[-1].measured
-
-    @property
-    def agreed(self) -> bool:
-        return self.measured == self.expected
+    measured: int
+    agreed: bool
 
 
 def _cpu_count() -> int:
@@ -364,9 +360,10 @@ def verify_crossing(
     first row's count must equal multiplicity(n), so the window holds no
     other level, and eps must exceed the resonance guard.  k*k must be
     a finite positive normal float, since the level is placed at
-    pi^2*n/k^2.  multiplicity(n) runs after the first row: a level past
-    the decidability limit fails before it, and a rejected window has
-    been solved once.
+    pi^2*n/k^2.  Then, before any solve, an n of True, 5.0, 5.5 or -1
+    raises ValueError.  multiplicity(n) runs after the first row: a
+    level past the decidability limit fails before it, and a rejected
+    window has been solved once.
     """
     k2 = k * k
     if not (math.isfinite(k2) and k2 >= sys.float_info.min):
@@ -377,6 +374,7 @@ def verify_crossing(
         raise ValueError(f"eps must be positive, got {eps}")
     if eps <= guard:
         raise ValueError(f"eps={eps} must exceed the resonance guard {guard}")
+    n = _level(n)
     try:
         c = PI2 * n / k2
     except OverflowError:
@@ -417,5 +415,6 @@ def verify_crossing(
             break
     return CrossingReport(
         n=n, k=k, modes_per_side=modes_per_side, delta=delta,
-        expected=expected, attempts=tuple(attempts),
+        expected=expected, attempts=tuple(attempts), measured=measured,
+        agreed=measured == expected,
     )

@@ -25,8 +25,8 @@ which holds both orders of its pairs, counts with weight 1, and its
 later columns (m > l) with weight 2.  The coefficients are IEEE sums,
 products and quotients in the scalar order, so every sign is bit for
 bit the one ``solution_diff_coefficient`` gives, and the blocks keep
-memory flat in the cutoff.  Resonance is decided once per coefficient, by the one
-gate ``_checked_threshold``, which applies
+memory flat in the cutoff.  Resonance is decided once per coefficient,
+by the one gate ``_checked_threshold``, which applies
 :func:`~ndsquare.spectrum.is_resonant`: each block's levels are
 ``PI2 * (l*l + m*m)``, the very expression that function scans, so a
 window with accepted ends holds no mode within the guard of either end

@@ -65,6 +65,16 @@ def _is_positive_integer(value) -> bool:
         return False
 
 
+def _level(n) -> int:
+    """``operator.index(n)`` if it is >= 0 and n no bool, else ValueError."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Configuration shared by all matrix and experiment operations.
@@ -119,8 +129,7 @@ def multiplicity(n: int) -> int:
     on the unit square (0 when n is not a sum of two squares).  Ordered
     pairs are counted, so (1, 2) and (2, 1) both contribute for n = 5.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    n = _level(n)
     count = 0
     for l in range(math.isqrt(n) + 1):
         m = math.isqrt(n - l * l)

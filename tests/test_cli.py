@@ -1,6 +1,7 @@
 """Tests for the command-line interface: schemas, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -422,6 +423,62 @@ class TestCrossingCommand:
         assert err.startswith("ndsquare crossing:")
         assert err.count("\n") == 1
         assert "normal float" in err
+
+
+def _asdict_json(records) -> str:
+    # the JSON writers' encoding: dataclasses.asdict of each record,
+    # indented by 2, keys sorted, one closing newline
+    if isinstance(records, list):
+        obj = [dataclasses.asdict(r) for r in records]
+    else:
+        obj = dataclasses.asdict(records)
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonBytes:
+    """Each JSON document has the bytes of its records' fields."""
+
+    # b = -9, -6, ..., 12; b = 0 is resonant, so one record is skipped
+    GRID = ["--a", "-10", "--b-min", "-9", "--b-max", "12", "--b-step", "3"]
+    B_VALUES = [-9.0 + 3.0 * i for i in range(8)]
+
+    def test_sweep(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", *self.GRID, "--size", "16", "--format", "json",
+        )
+        reports = experiments.sweep(-10.0, self.B_VALUES, modes_per_side=4)
+        assert code == 0
+        assert [r.skipped for r in reports].count(True) == 1
+        assert out == _asdict_json(reports)
+
+    def test_trajectories(self, capsys):
+        code, out, _ = run(
+            capsys, "trajectories", *self.GRID, "--size", "16",
+            "--format", "json",
+        )
+        points = trajectories(-10.0, self.B_VALUES, modes_per_side=4)
+        assert code == 0
+        assert [p.skipped for p in points].count(True) == 1
+        assert out == _asdict_json(points)
+
+    def test_crossing_out(self, tmp_path, capsys):
+        # the first width misses at this threshold, so the document holds
+        # both attempts
+        path = tmp_path / "crossing.json"
+        code, out, _ = run(
+            capsys, "crossing", "--n", "1", "--eps", "0.1", "--size", "120",
+            "--tol", "200", "--out", str(path),
+        )
+        report = experiments.verify_crossing(
+            1, eps=0.1, modes_per_side=30, delta=200.0
+        )
+        assert code == 0
+        assert len(report.attempts) == 2
+        assert out == (
+            "n=1 expected=2 measured=2 agreed=1 "
+            "attempts=[eps=0.1:measured=0 eps=0.05:measured=2]\n"
+        )
+        assert path.read_text(encoding="utf-8") == _asdict_json(report)
 
 
 class TestAssembleDumpCommand:

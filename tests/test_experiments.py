@@ -4,6 +4,7 @@ Matrix sizes here are kept small for speed; the full-scale runs live in
 the acceptance suite.
 """
 
+import dataclasses
 import math
 import os
 import pickle
@@ -845,6 +846,39 @@ class TestVerifyCrossing:
         )
         with pytest.raises(ResonanceError, match=re.escape(message)):
             verify_crossing(n, eps=eps, modes_per_side=8)
+
+    @pytest.mark.parametrize("n, message", [
+        (5.0, "n must be an integer, got 5.0"),
+        (5.5, "n must be an integer, got 5.5"),
+        (True, "n must be an integer, got True"),
+        (-1, "n must be nonnegative, got -1"),
+    ])
+    def test_level_is_checked_before_any_solve(
+        self, monkeypatch, one_cpu, n, message
+    ):
+        # n is checked before the first window is solved: True indexes
+        # as 1 but is no level, and 5.0 is refused, not truncated
+        def refuse(*blocks):
+            raise AssertionError("circulant_spectrum was called")
+
+        monkeypatch.setattr(experiments, "circulant_spectrum", refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_crossing(n, eps=0.1, modes_per_side=8)
+
+    @pytest.mark.parametrize("n", [np.int64(5), 0])
+    def test_integer_levels_run(self, n):
+        report = verify_crossing(n, eps=0.1, modes_per_side=30)
+        assert report.n == n
+        assert report.expected == multiplicity(int(n))
+        assert report.agreed
+
+    def test_record_holds_measured_and_agreed(self):
+        # the record is the crossing's JSON document, so its fields hold
+        # the final count and the verdict
+        report = verify_crossing(1, eps=0.1, modes_per_side=30, delta=200.0)
+        record = dataclasses.asdict(report)
+        assert record["measured"] == report.attempts[-1].measured == 2
+        assert record["agreed"] is True
 
     def test_rejects_eps_at_or_below_guard(self):
         with pytest.raises(ValueError):

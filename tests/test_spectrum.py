@@ -72,6 +72,15 @@ class TestMultiplicity:
         with pytest.raises(ValueError):
             multiplicity(-1)
 
+    @pytest.mark.parametrize("n", [True, False, 5.0, 5.5])
+    def test_rejects_a_level_that_is_no_integer(self, n):
+        # a bool indexes as an int but is no level; 5.0 is not truncated
+        with pytest.raises(ValueError, match="n must be an integer"):
+            multiplicity(n)
+
+    def test_numpy_integer_is_a_level(self):
+        assert multiplicity(np.int64(5)) == 2
+
 
 class TestIsResonant:
     def test_zero_is_resonant(self):
