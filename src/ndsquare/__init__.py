@@ -1,8 +1,10 @@
 """Neumann-to-Dirichlet machinery for the constant-coefficient
-Helmholtz equation on the unit square: closed-form matrix assembly,
-lattice eigenvalue counting, an exact solution-operator oracle, and
-experiment drivers comparing measured negative-eigenvalue counts with
-the theoretical dimension bound.
+Helmholtz equation on the unit square: closed-form matrix assembly
+with its block eigensolver and truncation estimates (``nd_matrix``),
+lattice eigenvalue counting (``spectrum``), an exact solution-operator
+oracle (``solution_op``), and experiment drivers comparing thresholded
+negative-eigenvalue counts with the theoretical dimension bound
+(``experiments``).
 
 The package namespace holds the names the README uses; everything else
 is imported from the submodules.  Reference implementations that only
@@ -10,8 +12,8 @@ the tests use, such as the double-series oracle of the matrix, live in
 the test suite, not here."""
 
 from .experiments import sweep, verify_crossing
-from .linalg import difference_truncation_error, truncation_error
 from .nd_matrix import assemble, load_matrix
+from .nd_matrix import difference_truncation_error, truncation_error
 from .solution_op import exact_negative_count
 from .spectrum import (
     ProblemParams,

@@ -27,7 +27,7 @@ import re
 import sys
 from typing import Iterable, Sequence
 
-from . import experiments, linalg, nd_matrix
+from . import experiments, nd_matrix
 from .spectrum import (
     DEFAULT_GUARD,
     ProblemParams,
@@ -77,7 +77,7 @@ def _add_common(parser: argparse.ArgumentParser, *, tol: bool = True) -> None:
     )
     if tol:
         parser.add_argument(
-            "--tol", type=float, default=linalg.DEFAULT_DELTA,
+            "--tol", type=float, default=experiments.DEFAULT_DELTA,
             help="negative-eigenvalue threshold delta (default 1e-5)",
         )
     parser.add_argument(
@@ -296,11 +296,11 @@ def _run_truncation_check(parser: _Parser, args: argparse.Namespace) -> int:
     params_a = ProblemParams(
         a=args.a, k=args.k, modes_per_side=j_modes, guard=args.guard
     )
-    per_a = linalg.truncation_error(params_a)
+    per_a = nd_matrix.truncation_error(params_a)
     per_b = diff = None
     if args.b is not None:
-        per_b = linalg.truncation_error(dataclasses.replace(params_a, a=args.b))
-        diff = linalg.difference_truncation_error(
+        per_b = nd_matrix.truncation_error(dataclasses.replace(params_a, a=args.b))
+        diff = nd_matrix.difference_truncation_error(
             args.a, args.b, args.k, j_modes, args.guard
         )
     if args.format == "json":

@@ -19,10 +19,15 @@ difference of two truncated Neumann-to-Dirichlet matrices:
   enough windows, so a disagreeing first attempt is retried once at
   half the width and both attempts are reported.
 
+Counts follow one thresholded protocol (``count_negative``): an
+eigenvalue counts as negative only when it lies below -delta, 1e-5 by
+default (``DEFAULT_DELTA``), so that truncation and rounding noise
+around zero is never mistaken for a genuine sign change.
+
 All three consume :func:`difference_spectra`, the one experiment loop.
 It solves the grid in batches of points, all in one next-side block
 buffer, with one :func:`~ndsquare.nd_matrix.side_blocks` and one
-:func:`~ndsquare.linalg.circulant_spectrum` call per batch, and yields
+:func:`~ndsquare.nd_matrix.circulant_spectrum` call per batch, and yields
 a consumer's finished per-point result ``each(b, spectrum)`` in grid
 order as soon as the point's batch is solved, so a consumer that
 streams holds one batch at a time.  On Linux, in a process with one
@@ -50,12 +55,10 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_DELTA, circulant_spectrum, count_negative
-from .nd_matrix import side_blocks
+from .nd_matrix import circulant_spectrum, side_blocks
 # bench/layers.py wraps these three names in this namespace, so they
 # stay bound; the experiments use the block path and sweep rows instead
-from .linalg import symmetric_eigenvalues  # noqa: F401
-from .nd_matrix import assemble  # noqa: F401
+from .nd_matrix import assemble, symmetric_eigenvalues  # noqa: F401
 from .spectrum import negative_eigenvalue_bound  # noqa: F401
 from .spectrum import (
     DEFAULT_GUARD,
@@ -67,6 +70,9 @@ from .spectrum import (
     is_resonant,
     multiplicity,
 )
+
+#: Default threshold below which -eigenvalue counts as negative.
+DEFAULT_DELTA = 1e-5
 
 #: Next-side block entries P·J² per batch of grid points: a batch holds
 #: max(1, BATCH_ENTRIES // J**2) points, 6 at J = 100 and 1 from J = 182,
@@ -207,6 +213,14 @@ def _solved(work, batches: list) -> Iterator:
         for pid in pids:
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
+
+
+def count_negative(eigenvalues, delta: float) -> int:
+    """Number of eigenvalues strictly below -delta."""
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    eigs = np.asarray(eigenvalues, dtype=float)
+    return int(np.count_nonzero(eigs < -delta))
 
 
 def difference_spectra(

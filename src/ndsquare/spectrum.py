@@ -44,7 +44,8 @@ DEFAULT_GUARD = 1e-9
 
 #: Most lattice steps one lattice loop may take: in a resonance decision
 #: each candidate level n costs the isqrt(n) + 1 steps of
-#: :func:`multiplicity`, and a mode count costs one step per row l.
+#: :func:`multiplicity`, and a mode count or a multiplicity costs one
+#: step per row l.
 RESONANCE_SCAN_STEPS = 2 ** 20
 
 
@@ -128,8 +129,14 @@ def multiplicity(n: int) -> int:
     This is the multiplicity of pi^2*n as a Neumann eigenvalue of -Delta
     on the unit square (0 when n is not a sum of two squares).  Ordered
     pairs are counted, so (1, 2) and (2, 1) both contribute for n = 5.
+    An n of more than ``RESONANCE_SCAN_STEPS`` rows raises ValueError.
     """
     n = _level(n)
+    if math.isqrt(n) >= RESONANCE_SCAN_STEPS:
+        raise ValueError(
+            f"n of {n.bit_length()} bits: counting its representations "
+            f"takes more than {RESONANCE_SCAN_STEPS} lattice rows"
+        )
     count = 0
     for l in range(math.isqrt(n) + 1):
         m = math.isqrt(n - l * l)

@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from ndsquare.linalg import _require_symmetric
-from ndsquare.nd_matrix import NdMatrix
+from ndsquare.nd_matrix import NdMatrix, _require_symmetric
 from ndsquare.spectrum import PI2, ProblemParams, multiplicity
 
 SIDE_RIGHT, SIDE_TOP, SIDE_LEFT, SIDE_BOTTOM = 0, 1, 2, 3

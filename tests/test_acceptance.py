@@ -19,8 +19,13 @@ import numpy as np
 import pytest
 
 from ndsquare.experiments import sweep, verify_crossing
-from ndsquare.linalg import difference_truncation_error, truncation_error
-from ndsquare.nd_matrix import assemble, same_side_entry, side_diagonals
+from ndsquare.nd_matrix import (
+    assemble,
+    difference_truncation_error,
+    same_side_entry,
+    side_diagonals,
+    truncation_error,
+)
 from ndsquare.solution_op import exact_negative_count
 from ndsquare.spectrum import (
     PI2,

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ndsquare
-from ndsquare import experiments, linalg, nd_matrix
+from ndsquare import experiments, nd_matrix
 from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
 from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
@@ -573,11 +573,11 @@ class TestTruncationCheckCommand:
     def _estimates(b):
         # the public estimators at a = -10 and J = 8, as --size 32 gives
         params_a = ProblemParams(a=-10.0, modes_per_side=8)
-        per_a = linalg.truncation_error(params_a)
+        per_a = nd_matrix.truncation_error(params_a)
         if b is None:
             return per_a, None, None
-        per_b = linalg.truncation_error(ProblemParams(a=b, modes_per_side=8))
-        diff = linalg.difference_truncation_error(-10.0, b, modes_per_side=8)
+        per_b = nd_matrix.truncation_error(ProblemParams(a=b, modes_per_side=8))
+        diff = nd_matrix.difference_truncation_error(-10.0, b, modes_per_side=8)
         return per_a, per_b, diff
 
     def test_json_has_the_public_estimators_values(self, capsys):
@@ -938,7 +938,7 @@ def test_helpers_reaped_elsewhere_leave_no_trace_after_an_early_close():
     [
         (experiments, ["sweep", "--a", "-10", "--b", "5"]),
         (nd_matrix, ["assemble-dump", "--a", "-10"]),
-        (linalg, ["truncation-check", "--a", "-10", "--b", "200"]),
+        (nd_matrix, ["truncation-check", "--a", "-10", "--b", "200"]),
     ],
     ids=["sweep", "assemble-dump", "truncation-check"],
 )

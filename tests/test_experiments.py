@@ -20,8 +20,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ndsquare import experiments, spectrum
-from ndsquare.experiments import sweep, trajectories, verify_crossing
-from ndsquare.linalg import count_negative
+from ndsquare.experiments import (
+    count_negative,
+    sweep,
+    trajectories,
+    verify_crossing,
+)
 from ndsquare.nd_matrix import NEAR_LEVEL_SWITCH
 from ndsquare.spectrum import (
     DEFAULT_GUARD,
@@ -30,6 +34,7 @@ from ndsquare.spectrum import (
     is_resonant,
     multiplicity,
     negative_eigenvalue_bound,
+    positive_eigenvalue_count,
 )
 from limits import time_limit
 
@@ -86,6 +91,31 @@ class TestSweep:
             assert report.min_eigenvalue <= report.max_eigenvalue
             bounds.append(report.theoretical_bound)
         assert bounds == sorted(bounds)
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize(
+        "a, b", [(10.5, 19.0), (50.0, 78.0), (247.0, 256.0)]
+    )
+    def test_window_inside_one_gap_counts_zero(self, a, b, scale):
+        # the paper's zero case: 0 < a < b between two levels pi^2*n and
+        # pi^2*n' with n >= 1, so d(a) = d(b) > 0 and no eigenvalue of
+        # the difference is negative; at J = floor(sqrt(b)/pi) + 12 and 2J
+        modes = scale * (math.floor(math.sqrt(b) / math.pi) + 12)
+        (report,) = sweep(a, [b], modes_per_side=modes)
+        assert (report.measured_negative, report.theoretical_bound) == (0, 0)
+        assert positive_eigenvalue_count(a) == positive_eigenvalue_count(b)
+        assert positive_eigenvalue_count(b) >= 3
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize("a, b", [(30.5, 800.5), (500.5, 3200.5)])
+    def test_positive_window_counts_at_most_d_b_minus_d_a(self, a, b, scale):
+        # a > 0 windows that span levels: count <= d(b) - d(a) < d(b)
+        # (27 <= 69 < 73 and 43 <= 223 < 271 at J and at 2J)
+        modes = scale * (math.floor(math.sqrt(b) / math.pi) + 12)
+        (report,) = sweep(a, [b], modes_per_side=modes)
+        d_a, d_b = positive_eigenvalue_count(a), positive_eigenvalue_count(b)
+        assert report.theoretical_bound == d_b - d_a
+        assert report.measured_negative <= d_b - d_a < d_b
 
     def test_output_follows_input_order(self):
         b_values = [5.0, -9.0, 2.0]

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ndsquare import linalg
-from ndsquare.linalg import (
+from ndsquare import nd_matrix
+from ndsquare.experiments import count_negative
+from ndsquare.nd_matrix import (
+    assemble,
     circulant_spectrum,
-    count_negative,
     difference_truncation_error,
+    side_blocks,
     symmetric_eigenvalues,
     truncation_error,
 )
-from ndsquare.nd_matrix import assemble, side_blocks
 from ndsquare.spectrum import ProblemParams, is_resonant
 from oracles import spectral_norm
 from scalar_reference import (
@@ -340,7 +341,7 @@ class TestStackedPairs:
             seen.append(blocks)
             return new
 
-        monkeypatch.setattr(linalg, "circulant_spectrum", both)
+        monkeypatch.setattr(nd_matrix, "circulant_spectrum", both)
         truncation_error(ProblemParams(a=-10.0, modes_per_side=j_modes))
         truncation_error(ProblemParams(a=200.0, modes_per_side=j_modes))
         for a, b in ((-10.0, 200.0), (3.0, 57.3), (57.3, 57.3)):

@@ -10,15 +10,16 @@ imports must be used in that module, be re-exported in
 imported on such a line must be one the benchmark's tracer looks up.
 A resonant coefficient is refused in one place, so ``ResonanceError``
 is raised only by the gate and the two checks with messages of their
-own.  There is one parallel path and no environment knob: only
-``experiments._solved`` forks or pickles, and no module reads
+own.  Only the block solver and the dense oracle of ``nd_matrix`` call
+``eigvalsh``.  There is one parallel path and no environment knob:
+only ``experiments._solved`` forks or pickles, and no module reads
 ``os.environ`` or ``os.getenv``.  No process is signalled: no module
 uses ``os.kill``, ``os.killpg``, ``signal.pidfd_send_signal`` or the
 ``signal`` module, since the parallel solve ends a helper by shutting
 down its socket, and a pid may have been reused.  No module installs a
 hook that runs in every fork (``os.register_at_fork``).  No module
 reads a private name of another through attribute access
-(``linalg._x``), so the CLI calls the same public entry points as a
+(``spectrum._x``), so the CLI calls the same public entry points as a
 user of the library.
 """
 
@@ -171,6 +172,20 @@ def test_only_the_parallel_solve_forks():
     # one parallel path: a second fork would need its own reaping
     forks = {where for where, _ in _references({"fork", "forkpty"})}
     assert forks == FORKERS, "fork only in experiments._solved"
+
+
+#: The only places in src that run an eigensolve: the block solver and
+#: the dense oracle beside it
+EIGENSOLVERS = {
+    "nd_matrix.circulant_spectrum",
+    "nd_matrix.symmetric_eigenvalues",
+}
+
+
+def test_only_nd_matrix_runs_the_eigensolve():
+    # one module owns the split of the side blocks into eigenproblems
+    solvers = {where for where, _ in _references({"eigvalsh"})}
+    assert solvers == EIGENSOLVERS, "solve through nd_matrix.circulant_spectrum"
 
 
 #: The one place in src that pickles, the parallel solve's frames, and

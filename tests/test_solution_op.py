@@ -24,6 +24,7 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
 )
 from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE
+from oracles import lattice_count_below
 from scalar_reference import full_square_negative_count
 
 
@@ -128,6 +129,29 @@ class TestExactNegativeCount:
                 a, b, 1.0
             ), (a, b)
             checked += 1
+
+    @given(
+        a=st.floats(min_value=-50.0, max_value=50.0),
+        exponent=st.floats(min_value=2.0, max_value=6.0),
+    )
+    @example(a=-50.0, exponent=6.0)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_lattice_oracle_at_bench_scale(self, a, exponent):
+        # the bench's lattice windows: b log-uniform in [1e2, 1e6], both
+        # ends at least 1e-6 from every level, at the smallest cutoff
+        # the count accepts and one more
+        b = 10.0**exponent
+        assume(not is_resonant(a, 1.0, 1e-6))
+        assume(not is_resonant(b, 1.0, 1e-6))
+        smallest = math.isqrt(int(b / PI2))
+        while PI2 * smallest * smallest <= b:
+            smallest += 1
+        with pytest.raises(ValueError, match="too small"):
+            exact_negative_count(a, b, 1.0, smallest - 1)
+        expected = lattice_count_below(b) - lattice_count_below(a)
+        assert negative_eigenvalue_bound(a, b) == expected
+        for cutoff in (smallest, smallest + 1):
+            assert exact_negative_count(a, b, 1.0, cutoff) == expected
 
     def test_k_scaling(self):
         # window (a*k^2, b*k^2) = (-40, 20) contains levels 0, 1 and 2

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from ndsquare import spectrum
 from ndsquare.experiments import sweep, trajectories
-from ndsquare.linalg import difference_truncation_error
-from ndsquare.nd_matrix import opposite_side_entry, same_side_entry
+from ndsquare.nd_matrix import (
+    difference_truncation_error,
+    opposite_side_entry,
+    same_side_entry,
+)
 from ndsquare.solution_op import exact_negative_count
 from ndsquare.spectrum import (
     ProblemParams,
@@ -21,6 +24,7 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
     positive_eigenvalue_count,
 )
+from limits import time_limit
 from oracles import (
     construct_even_multiplicity,
     lattice_count_below,
@@ -80,6 +84,15 @@ class TestMultiplicity:
 
     def test_numpy_integer_is_a_level(self):
         assert multiplicity(np.int64(5)) == 2
+
+    def test_refuses_more_rows_than_the_budget(self):
+        # one row per l <= isqrt(n): 10**20 would take about 1e10 rows
+        budget = spectrum.RESONANCE_SCAN_STEPS
+        with time_limit(10):
+            for n in (10**20, budget**2):
+                with pytest.raises(ValueError, match="lattice rows"):
+                    multiplicity(n)
+            assert multiplicity(10**12) == 14
 
 
 class TestIsResonant:
