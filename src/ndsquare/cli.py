@@ -230,22 +230,21 @@ def _run_trajectories(parser: _Parser, args: argparse.Namespace) -> int:
         )
         _emit((_json_dumps(points),), args.out)
         return 0
-    # one template fills the 4J rows of a point at once; %.17g gives
-    # the bytes of _fmt, -0, inf and nan included
-    template = "".join(f"%s,{idx},%.17g\n" for idx in range(4 * j_modes))
 
     def render(b: float, eigs) -> str:
         if eigs is None:  # a resonant b has no rows
             return ""
-        fields = [_fmt(b)] * (8 * j_modes)
-        fields[1::2] = eigs.tolist()
-        return template % tuple(fields)
+        return template.replace("%s", _fmt(b)) % tuple(eigs.tolist())
 
-    # every b is decided here, before a byte is written; each point
-    # comes rendered by the process that solved it
+    # every b is decided here, before a byte is written, and the
+    # buffers are allocated, which refuses a --size too large at once;
+    # each point comes rendered by the process that solved it
     rows = experiments.difference_spectra(
         args.a, b_values, args.k, j_modes, args.guard, render
     )
+    # one template fills the 4J rows of a point at once; %.17g gives
+    # the bytes of _fmt, -0, inf and nan included
+    template = "".join(f"%s,{idx},%.17g\n" for idx in range(4 * j_modes))
     header = TRAJECTORIES_CSV_HEADER + "\n"
     _emit(itertools.chain([header], rows), args.out)
     return 0
@@ -282,7 +281,7 @@ def _run_assemble_dump(parser: _Parser, args: argparse.Namespace) -> int:
     params = ProblemParams(
         a=args.a, k=args.k, modes_per_side=j_modes, guard=args.guard
     )
-    _emit((nd_matrix.dumps_matrix(nd_matrix.assemble(params)),), args.out)
+    _emit(nd_matrix.dump_lines(nd_matrix.assemble(params)), args.out)
     return 0
 
 

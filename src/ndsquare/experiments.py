@@ -65,7 +65,7 @@ from .spectrum import (
     PI2,
     ProblemParams,
     ResonanceError,
-    _level,
+    _integer,
     _modes_below,
     is_resonant,
     multiplicity,
@@ -388,7 +388,7 @@ def verify_crossing(
         raise ValueError(f"eps must be positive, got {eps}")
     if eps <= guard:
         raise ValueError(f"eps={eps} must exceed the resonance guard {guard}")
-    n = _level(n)
+    n = _integer(n, 0, "n must be an integer", "n must be nonnegative")
     try:
         c = PI2 * n / k2
     except OverflowError:

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -491,17 +491,18 @@ def difference_truncation_error(
     return _border_norm(blocks)
 
 
-def dumps_matrix(nd: NdMatrix) -> str:
-    """A matrix in the plain-text dump format, as a string.
+def dump_lines(nd: NdMatrix) -> Iterator[str]:
+    """A matrix in the plain-text dump format, line by line.
 
     First line: ``<size> <k> <a> closed_form``; then ``size`` rows of
-    space-separated entries.  Reals carry 17 significant digits, so the
-    dump round-trips exactly (:func:`load_matrix` parses it back).
+    space-separated entries, one per line, each line with its newline.
+    Reals carry 17 significant digits, so the dump round-trips exactly
+    (:func:`load_matrix` parses it back).
     """
     n = nd.entries.shape[0]
-    lines = [f"{n} {nd.params.k:.17g} {nd.params.a:.17g} closed_form"]
-    lines += [" ".join(f"{v:.17g}" for v in row) for row in nd.entries]
-    return "\n".join(lines) + "\n"
+    yield f"{n} {nd.params.k:.17g} {nd.params.a:.17g} closed_form\n"
+    for row in nd.entries:
+        yield " ".join(f"{v:.17g}" for v in row) + "\n"
 
 
 def load_matrix(stream: TextIO) -> NdMatrix:

@@ -42,7 +42,7 @@ from .spectrum import (
     PI2,
     ResonanceError,
     _checked_threshold,
-    _is_positive_integer,
+    _integer,
 )
 # bench/layers.py wraps is_resonant in this namespace, so it stays bound
 from .spectrum import is_resonant  # noqa: F401
@@ -112,10 +112,9 @@ def exact_negative_count(
     """
     if not a < b:
         raise ValueError(f"requires a < b, got a={a}, b={b}")
-    if not _is_positive_integer(mode_cutoff):
-        raise ValueError(
-            f"mode_cutoff must be >= 1 and an integer, got {mode_cutoff!r}"
-        )
+    mode_cutoff = _integer(
+        mode_cutoff, 1, "mode_cutoff must be >= 1 and an integer"
+    )
     if PI2 * mode_cutoff * mode_cutoff <= b * k * k:
         raise ValueError(
             f"mode_cutoff={mode_cutoff} too small: pi^2*cutoff^2 = "

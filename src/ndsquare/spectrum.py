@@ -53,27 +53,26 @@ class ResonanceError(ValueError):
     """Raised when a*k^2 is within the guard of a Neumann eigenvalue."""
 
 
-def _is_positive_integer(value) -> bool:
-    """True for an integer >= 1; ``operator.index`` refuses 2.5 or 4.0.
+def _integer(value, least: int, refusal: str, below: str | None = None) -> int:
+    """``operator.index(value)`` if it is an integer >= ``least``.
 
-    A bool is refused too: True is no count, though it indexes as 1.
+    Anything else raises ``ValueError(f"{refusal}, got {value!r}")``: a
+    bool (True is no count, though it indexes as 1), 2.5, 4.0 or "4",
+    and an integer below ``least``, named ``below`` when that is given.
+    An integer of 4000 bits or more is named by its bit length, since
+    Python refuses to write out one of more than 4300 digits.
     """
-    if isinstance(value, bool):
-        return False
     try:
-        return operator.index(value) >= 1
+        index = operator.index(value)
     except TypeError:
-        return False
-
-
-def _level(n) -> int:
-    """``operator.index(n)`` if it is >= 0 and n no bool, else ValueError."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return n
+        index = None
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{refusal}, got {value!r}")
+    if index >= least:
+        return index
+    bits = index.bit_length()
+    shown = f"an integer of {bits} bits" if bits >= 4000 else repr(index)
+    raise ValueError(f"{below or refusal}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +108,9 @@ class ProblemParams:
     guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
-        if not _is_positive_integer(self.modes_per_side):
-            raise ValueError(
-                f"modes_per_side must be an integer >= 1, "
-                f"got {self.modes_per_side!r}"
-            )
+        _integer(
+            self.modes_per_side, 1, "modes_per_side must be an integer >= 1"
+        )
         # is_resonant refuses a k or a guard that is not positive
         _checked_threshold(self.a, self.k, self.guard)
 
@@ -131,7 +128,7 @@ def multiplicity(n: int) -> int:
     pairs are counted, so (1, 2) and (2, 1) both contribute for n = 5.
     An n of more than ``RESONANCE_SCAN_STEPS`` rows raises ValueError.
     """
-    n = _level(n)
+    n = _integer(n, 0, "n must be an integer", "n must be nonnegative")
     if math.isqrt(n) >= RESONANCE_SCAN_STEPS:
         raise ValueError(
             f"n of {n.bit_length()} bits: counting its representations "

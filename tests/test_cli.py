@@ -540,6 +540,22 @@ class TestAssembleDumpCommand:
         assert code == 2
         assert "ill-posed" in err or "resonan" in err
 
+    def test_dump_is_written_row_by_row(self):
+        # the dump goes out a line at a time: at --size 400 the rows of
+        # the 1.28 MB matrix are never joined into one string
+        matrix_bytes = 400 * 400 * 8
+        tracemalloc.start()
+        try:
+            code = main([
+                "assemble-dump", "--a", "-1", "--size", "400",
+                "--out", os.devnull,
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * matrix_bytes
+
 
 class TestTruncationCheckCommand:
     def test_per_operator_only(self, capsys):
@@ -958,6 +974,33 @@ def test_allocation_failure_exits_2_with_one_line(
     assert code == 2
     assert out == ""
     assert err == f"ndsquare {argv[0]}: {message}\n"
+
+
+def test_trajectories_refuses_a_huge_size_before_its_template(
+    capsys, monkeypatch
+):
+    # the 4J-row template of --size 400000000 would take minutes and
+    # gigabytes; the allocation that refuses the size comes first
+    message = "Unable to allocate 7.28 TiB for an array"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "side_blocks", refuse)
+    tracemalloc.start()
+    try:
+        with time_limit(2):
+            code, out, err = run(
+                capsys, "trajectories", "--a", "-10", "--b", "5",
+                "--size", "400000000",
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == f"ndsquare trajectories: {message}\n"
+    assert peak < 1_000_000
 
 
 def _cli_bytes(tmp_path, argv, to_file):

@@ -21,7 +21,7 @@ from ndsquare.nd_matrix import (
     NEAR_LEVEL_SWITCH,
     NdMatrix,
     assemble,
-    dumps_matrix,
+    dump_lines,
     load_matrix,
     opposite_side_entry,
     same_side_entry,
@@ -654,7 +654,7 @@ class TestDumpFormat:
     def test_header_and_roundtrip(self):
         params = ProblemParams(a=-1.5, k=2.0, modes_per_side=2)
         nd = assemble(params)
-        text = dumps_matrix(nd)
+        text = "".join(dump_lines(nd))
         lines = text.splitlines()
         assert lines[0] == "8 2 -1.5 closed_form"
         assert len(lines) == 9
@@ -667,14 +667,15 @@ class TestDumpFormat:
 
     def test_seventeen_significant_digits_roundtrip(self):
         nd = assemble(ProblemParams(a=-10.0 / 3.0, k=1.0, modes_per_side=1))
-        loaded = load_matrix(io.StringIO(dumps_matrix(nd)))
+        loaded = load_matrix(io.StringIO("".join(dump_lines(nd))))
         np.testing.assert_array_equal(loaded.entries, nd.entries)
 
     def test_series_oracle_method_label(self):
         # the dump holds the closed-form matrix only; the series oracle
         # is a test reference and has no header of its own
         params = ProblemParams(a=-1.0, modes_per_side=1)
-        rows = dumps_matrix(assemble_series_oracle(params, 50)).splitlines()
+        oracle = assemble_series_oracle(params, 50)
+        rows = "".join(dump_lines(oracle)).splitlines()
         text = "\n".join(["4 1 -1 series_oracle(50)", *rows[1:]]) + "\n"
         with pytest.raises(ValueError, match="unknown assembly method"):
             load_matrix(io.StringIO(text))
@@ -710,7 +711,8 @@ class TestDumpFormat:
             load_matrix(io.StringIO(text))
 
     def test_load_rejects_a_body_that_disagrees_with_the_header(self):
-        text = dumps_matrix(assemble(ProblemParams(a=-1.0, modes_per_side=2)))
+        nd = assemble(ProblemParams(a=-1.0, modes_per_side=2))
+        text = "".join(dump_lines(nd))
         without_last_row = text[: text.rindex("\n", 0, -1) + 1]
         message = "expected a 8x8 matrix, got shape (7, 8)"
         with pytest.raises(ValueError, match=re.escape(message)):

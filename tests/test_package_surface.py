@@ -17,10 +17,11 @@ only ``experiments._solved`` forks or pickles, and no module reads
 uses ``os.kill``, ``os.killpg``, ``signal.pidfd_send_signal`` or the
 ``signal`` module, since the parallel solve ends a helper by shutting
 down its socket, and a pid may have been reused.  No module installs a
-hook that runs in every fork (``os.register_at_fork``).  No module
-reads a private name of another through attribute access
-(``spectrum._x``), so the CLI calls the same public entry points as a
-user of the library.
+hook that runs in every fork (``os.register_at_fork``).  Only the
+integer gate ``spectrum._integer`` uses ``operator``, so every
+count-like input is decided one way.  No module reads a private name
+of another through attribute access (``spectrum._x``), so the CLI
+calls the same public entry points as a user of the library.
 """
 
 import ast
@@ -186,6 +187,17 @@ def test_only_nd_matrix_runs_the_eigensolve():
     # one module owns the split of the side blocks into eigenproblems
     solvers = {where for where, _ in _references({"eigvalsh"})}
     assert solvers == EIGENSOLVERS, "solve through nd_matrix.circulant_spectrum"
+
+
+#: The one integer gate that decides every count-like input, and the
+#: module-level ``import operator`` it needs
+INTEGER_GATES = {"spectrum.<module>", "spectrum._integer"}
+
+
+def test_one_gate_decides_every_count():
+    # a second helper would give a second convention for the same refusal
+    gates = {where for where, _ in _references({"operator"})}
+    assert gates == INTEGER_GATES, "decide a count through spectrum._integer"
 
 
 #: The one place in src that pickles, the parallel solve's frames, and

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndsquare import spectrum
-from ndsquare.experiments import sweep, trajectories
+from ndsquare.experiments import sweep, trajectories, verify_crossing
 from ndsquare.nd_matrix import (
     difference_truncation_error,
     opposite_side_entry,
@@ -32,6 +32,34 @@ from oracles import (
 )
 
 PI2 = math.pi ** 2
+
+
+#: One caller of the integer gate per count-like input, each given the
+#: count alone
+GATED_COUNTS = {
+    "modes_per_side": lambda count: ProblemParams(
+        a=-1.0, modes_per_side=count
+    ),
+    "mode_cutoff": lambda count: exact_negative_count(
+        -10.0, 5.0, mode_cutoff=count
+    ),
+    "multiplicity": multiplicity,
+    "verify_crossing": lambda count: verify_crossing(
+        count, eps=0.1, modes_per_side=8
+    ),
+}
+
+
+class TestIntegerGate:
+    @pytest.mark.parametrize("caller", GATED_COUNTS)
+    def test_huge_integer_is_named_by_its_bit_length(self, caller):
+        # Python writes out no int of more than 4300 digits
+        with pytest.raises(ValueError) as exc:
+            GATED_COUNTS[caller](-10**5000)
+        message = str(exc.value)
+        assert message.endswith(", got an integer of 16610 bits")
+        assert "Exceeds the limit" not in message
+        assert "\n" not in message
 
 
 class TestNeumannEigenvalue:
