@@ -17,20 +17,8 @@ independent route.  Only signs are consumed downstream, so the H^1
 normalization (which rescales magnitudes but not signs) is omitted.
 
 ``exact_negative_count`` evaluates the coefficients over blocks of
-lattice modes, in place in two buffers.  The coefficient depends on a
-mode only through l^2 + m^2, so the diagonal reflection (l, m) <->
-(m, l) of the square maps every mode to a twin with the same bits, and
-only the modes with m >= l are evaluated: a block's leading square,
-which holds both orders of its pairs, counts with weight 1, and its
-later columns (m > l) with weight 2.  The coefficients are IEEE sums,
-products and quotients in the scalar order, so every sign is bit for
-bit the one ``solution_diff_coefficient`` gives, and the blocks keep
-memory flat in the cutoff.  Resonance is decided once per coefficient,
-by the one gate ``_checked_threshold``, which applies
-:func:`~ndsquare.spectrum.is_resonant`: each block's levels are
-``PI2 * (l*l + m*m)``, the very expression that function scans, so a
-window with accepted ends holds no mode within the guard of either end
-and the blocks need no check of their own.
+the lattice modes with m >= l, in place in two buffers, each sign bit
+for bit the one ``solution_diff_coefficient`` gives.
 """
 
 from __future__ import annotations
@@ -43,14 +31,13 @@ from .spectrum import (
     ResonanceError,
     _checked_threshold,
     _integer,
+    _row_heights,
 )
 # bench/layers.py wraps is_resonant in this namespace, so it stays bound
 from .spectrum import is_resonant  # noqa: F401
 
 #: Largest number of lattice modes ``exact_negative_count`` evaluates
-#: at once (whole rows of the half m >= l, at least one row).  A block's
-#: leading square counts with weight 1, its later columns, mirrored by
-#: the reflection (l, m) <-> (m, l), with weight 2.
+#: at once (whole rows of the half m >= l, at least one row).
 BLOCK_MODES = 16384
 
 
@@ -100,9 +87,12 @@ def exact_negative_count(
 
     Every sign change happens at a mode with pi^2*(l^2+m^2) < b*k^2, so
     the count is exact (and equals the lattice bound) once
-    pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``.
+    pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``,
+    and so does a cutoff past the lattice walk's row budget.
     A resonant a or b raises the gate's :class:`ResonanceError`; once
-    both are accepted, no mode lies within the guard of a*k^2 or b*k^2.
+    both are accepted, no mode lies within the guard of a*k^2 or b*k^2,
+    since a block forms each level as ``PI2 * (l*l + m*m)``, the very
+    expression :func:`~ndsquare.spectrum.is_resonant` scans.
 
     Only the modes with m >= l are evaluated: (l, m) and (m, l) have the
     same coefficient, bit for bit.  A block of rows l in [l0, l0 + r)
@@ -115,6 +105,9 @@ def exact_negative_count(
     mode_cutoff = _integer(
         mode_cutoff, 1, "mode_cutoff must be >= 1 and an integer"
     )
+    # the walk's row budget, before any float product or block is formed
+    refusal = "mode_cutoff of {} bits: the count"
+    _row_heights(mode_cutoff**2, refusal, mode_cutoff.bit_length())
     if PI2 * mode_cutoff * mode_cutoff <= b * k * k:
         raise ValueError(
             f"mode_cutoff={mode_cutoff} too small: pi^2*cutoff^2 = "
@@ -144,9 +137,7 @@ def exact_negative_count(
             np.multiply(1.0 + coeff * k * k, lam, out=out)
             np.subtract(1.0, out, out=out)
             np.divide(1.0, out, out=out)
-        # hi - lo < 0 exactly when hi < lo, for every pair of floats; the
-        # leading rows-by-rows square holds both orders of its pairs, and
-        # each later column (m > l) also stands for its mirror (m, l)
+        # hi - lo < 0 exactly when hi < lo, for every pair of floats
         negative = np.less(hi, lam)
         count += int(np.count_nonzero(negative))
         if rows < width:

@@ -44,8 +44,8 @@ DEFAULT_GUARD = 1e-9
 
 #: Most lattice steps one lattice loop may take: in a resonance decision
 #: each candidate level n costs the isqrt(n) + 1 steps of
-#: :func:`multiplicity`, and a mode count or a multiplicity costs one
-#: step per row l.
+#: :func:`multiplicity`, and a walk of the lattice rows (a mode count, a
+#: multiplicity, the oracle's cutoff) costs one step per row l.
 RESONANCE_SCAN_STEPS = 2 ** 20
 
 
@@ -120,6 +120,20 @@ class ProblemParams:
         return 4 * self.modes_per_side
 
 
+def _row_heights(top: int, refusal: str, *about):
+    """isqrt(top - l^2) for each lattice row l = 0, 1, ..., isqrt(top).
+
+    Row l holds height + 1 points (l, m), those with l^2 + m^2 <= top.
+    More than ``RESONANCE_SCAN_STEPS`` rows raise ValueError at the
+    call, named by ``refusal.format(*about)``, formed only then.
+    """
+    rows = math.isqrt(top) + 1
+    if rows > RESONANCE_SCAN_STEPS:
+        limit = f"takes more than {RESONANCE_SCAN_STEPS} lattice rows"
+        raise ValueError(f"{refusal.format(*about)} {limit}")
+    return (math.isqrt(top - l * l) for l in range(rows))
+
+
 def multiplicity(n: int) -> int:
     """Number of ordered pairs (l, m) with l, m >= 0 and l^2 + m^2 = n.
 
@@ -129,17 +143,9 @@ def multiplicity(n: int) -> int:
     An n of more than ``RESONANCE_SCAN_STEPS`` rows raises ValueError.
     """
     n = _integer(n, 0, "n must be an integer", "n must be nonnegative")
-    if math.isqrt(n) >= RESONANCE_SCAN_STEPS:
-        raise ValueError(
-            f"n of {n.bit_length()} bits: counting its representations "
-            f"takes more than {RESONANCE_SCAN_STEPS} lattice rows"
-        )
-    count = 0
-    for l in range(math.isqrt(n) + 1):
-        m = math.isqrt(n - l * l)
-        if l * l + m * m == n:
-            count += 1
-    return count
+    refusal = "n of {} bits: counting its representations"
+    rows = enumerate(_row_heights(n, refusal, n.bit_length()))
+    return sum(l * l + m * m == n for l, m in rows)
 
 
 def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
@@ -208,22 +214,21 @@ def _modes_below(target: float) -> int:
 
     One settle finds the largest level n = top with ``PI2 * n < target``
     (``PI2 * n`` never decreases as the integer n grows); the count is
-    then the integer row sum of isqrt(top - l^2) + 1 over l.  More than
+    then the sum of the heights + 1 of the rows up to top.  More than
     ``RESONANCE_SCAN_STEPS`` rows (from about 1.09e13) raise ValueError.
     """
     if target <= 0:
         return 0
+    refusal = "a*k^2 = {!r}: counting the modes below it"
     top = int(target / PI2)
-    if math.isqrt(top) >= RESONANCE_SCAN_STEPS:
-        raise ValueError(
-            f"a*k^2 = {target!r}: counting the modes below it takes more "
-            f"than {RESONANCE_SCAN_STEPS} lattice rows"
-        )
+    # refused before the settle, which would never end from about 1e300
+    # on, where a unit step of top does not move PI2 * top
+    _row_heights(top, refusal, target)
     while PI2 * top >= target:
         top -= 1
     while PI2 * (top + 1) < target:
         top += 1
-    return sum(math.isqrt(top - l * l) + 1 for l in range(math.isqrt(top) + 1))
+    return sum(_row_heights(top, refusal, target), math.isqrt(top) + 1)
 
 
 def positive_eigenvalue_count(

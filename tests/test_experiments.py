@@ -390,6 +390,41 @@ def test_spectrum_rises_with_b_between_levels(window, modes_per_side):
     assert np.all(lower <= upper + 1e-12 * scale + rounding)
 
 
+class TestNearLevelSwitch:
+    # Where a diagonal entry switches to the split pole, 1e-3
+    # (NEAR_LEVEL_SWITCH) from its level, the computed Λ(b) jumps by the
+    # rounding of the closed form outside the switch.  These pin that
+    # margin, which a strict monotonicity or certified-count check must
+    # allow for, at a tenth of the count threshold.
+    @pytest.mark.parametrize("modes_per_side", [4, 16, 64])
+    def test_jump_across_the_switch_moves_no_count(self, modes_per_side):
+        # b 1e-9 inside and outside the switch 1e-3 above 26π²: a sorted
+        # eigenvalue of Λ(b) − Λ(a) falls by 2.2e-7 from J = 16 on, where
+        # exact arithmetic gives a rise (of up to 1.6e-2 here)
+        delta = experiments.DEFAULT_DELTA
+        inside, outside = (
+            np.array(point.eigenvalues)
+            for point in trajectories(
+                26 * PI2 - 20.0,
+                [26 * PI2 + 1e-3 - 1e-9, 26 * PI2 + 1e-3 + 1e-9],
+                modes_per_side=modes_per_side,
+            )
+        )
+        assert np.min(outside - inside) > -delta / 10
+        assert count_negative(outside, delta) == count_negative(inside, delta)
+
+    @pytest.mark.parametrize("modes_per_side", [4, 16, 64])
+    def test_one_ulp_past_a_outside_the_switch(self, modes_per_side):
+        # b one ulp above a, 1.0005e-3 below 40π²: Λ(b) − Λ(a) has an
+        # eigenvalue of -1.4e-7 from J = 16 on, where exact arithmetic
+        # gives none below zero
+        a = 40 * PI2 - 1.0005e-3
+        (point,) = trajectories(
+            a, [math.nextafter(a, math.inf)], modes_per_side=modes_per_side
+        )
+        assert min(point.eigenvalues) > -experiments.DEFAULT_DELTA / 10
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="minor faults as Linux counts"
 )

@@ -19,9 +19,12 @@ uses ``os.kill``, ``os.killpg``, ``signal.pidfd_send_signal`` or the
 down its socket, and a pid may have been reused.  No module installs a
 hook that runs in every fork (``os.register_at_fork``).  Only the
 integer gate ``spectrum._integer`` uses ``operator``, so every
-count-like input is decided one way.  No module reads a private name
-of another through attribute access (``spectrum._x``), so the CLI
-calls the same public entry points as a user of the library.
+count-like input is decided one way, and only the row walk
+``spectrum._row_heights`` and the resonance scan read the lattice
+budget, so every lattice row counts against it one way.  No module
+reads a private name of another through attribute access
+(``spectrum._x``), so the CLI calls the same public entry points as a
+user of the library.
 """
 
 import ast
@@ -198,6 +201,19 @@ def test_one_gate_decides_every_count():
     # a second helper would give a second convention for the same refusal
     gates = {where for where, _ in _references({"operator"})}
     assert gates == INTEGER_GATES, "decide a count through spectrum._integer"
+
+
+#: The one walk of the lattice rows, which owns the row budget, the
+#: resonance scan with its step budget, and the budget's definition
+BUDGET_READERS = {
+    "spectrum.<module>", "spectrum._row_heights", "spectrum.is_resonant",
+}
+
+
+def test_one_walk_owns_the_row_budget():
+    # a second row loop would bring a second copy of the budget check
+    readers = {where for where, _ in _references({"RESONANCE_SCAN_STEPS"})}
+    assert readers == BUDGET_READERS, "walk rows through spectrum._row_heights"
 
 
 #: The one place in src that pickles, the parallel solve's frames, and

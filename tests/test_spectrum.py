@@ -62,6 +62,49 @@ class TestIntegerGate:
         assert "\n" not in message
 
 
+#: Each walker of the lattice rows with the argument that takes 101 rows
+#: and the one that takes 100
+ROW_WALKERS = {
+    "multiplicity": (multiplicity, 100 * 100, 100 * 100 - 1),
+    "_modes_below": (
+        spectrum._modes_below, PI2 * 100 * 100 + 1.0, PI2 * 9999 + 1.0
+    ),
+    "exact_negative_count": (
+        lambda cutoff: exact_negative_count(-10.0, 5.0, mode_cutoff=cutoff),
+        100,
+        99,
+    ),
+}
+
+
+class TestRowBudget:
+    @pytest.mark.parametrize("walker", ROW_WALKERS)
+    def test_every_walker_shares_the_budget(self, monkeypatch, walker):
+        # one walk owns the budget and reads it at each call, so every
+        # walker refuses a row past it and answers at the budget itself
+        walk, past, last = ROW_WALKERS[walker]
+        unbudgeted = walk(last)
+        monkeypatch.setattr(spectrum, "RESONANCE_SCAN_STEPS", 100)
+        with pytest.raises(ValueError, match="more than 100 lattice rows"):
+            walk(past)
+        assert walk(last) == unbudgeted
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_oracle_cutoff_is_refused_at_once(self, digits):
+        # the float product once raised OverflowError, and a cutoff just
+        # past 2^20 rows ran for hours
+        cutoff = 10**digits
+        with time_limit(2):
+            with pytest.raises(ValueError) as exc:
+                exact_negative_count(-10.0, 5.0, mode_cutoff=cutoff)
+        message = str(exc.value)
+        assert message == (
+            f"mode_cutoff of {cutoff.bit_length()} bits: the count takes "
+            f"more than {spectrum.RESONANCE_SCAN_STEPS} lattice rows"
+        )
+        assert "Exceeds the limit" not in message
+
+
 class TestNeumannEigenvalue:
     def test_zero_mode(self):
         assert neumann_eigenvalue((0, 0)) == 0.0
