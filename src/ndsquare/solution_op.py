@@ -15,10 +15,6 @@ negative coefficients reproduces the lattice bound of
 :func:`ndsquare.spectrum.negative_eigenvalue_bound` by an entirely
 independent route.  Only signs are consumed downstream, so the H^1
 normalization (which rescales magnitudes but not signs) is omitted.
-
-``exact_negative_count`` evaluates the coefficients over blocks of
-the lattice modes with m >= l, in place in two buffers, each sign bit
-for bit the one ``solution_diff_coefficient`` gives.
 """
 
 from __future__ import annotations
@@ -88,7 +84,9 @@ def exact_negative_count(
     Every sign change happens at a mode with pi^2*(l^2+m^2) < b*k^2, so
     the count is exact (and equals the lattice bound) once
     pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``,
-    and so does a cutoff past the lattice walk's row budget.
+    and so does a cutoff past the lattice walk's row budget.  One below
+    it costs about cutoff^2/2 modes at some 6 ns each, about an hour
+    near 2^20 (ROADMAP item 12 moves this oracle out of the package).
     A resonant a or b raises the gate's :class:`ResonanceError`; once
     both are accepted, no mode lies within the guard of a*k^2 or b*k^2,
     since a block forms each level as ``PI2 * (l*l + m*m)``, the very

@@ -25,9 +25,9 @@ meaningless, so resonance means "within ``guard`` of an eigenvalue"
 such a coefficient with one :class:`ResonanceError` message instead of
 silently picking a side of the window edge.  Where resonance cannot be
 decided (a non-finite input, a float spacing of a*k^2 that reaches the
-guard, or a scan of the levels within the guard that would take more
-than ``RESONANCE_SCAN_STEPS`` lattice steps), ``is_resonant`` raises
-``ValueError``; so does a count of more than that many lattice rows.
+guard), ``is_resonant`` raises ``ValueError``.  Each lattice question,
+resonance included, is one walk of the lattice rows, and a walk of more
+than ``RESONANCE_SCAN_STEPS`` rows raises ``ValueError`` too.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ PI2 = math.pi ** 2
 #: treated as resonant.
 DEFAULT_GUARD = 1e-9
 
-#: Most lattice steps one lattice loop may take: in a resonance decision
-#: each candidate level n costs the isqrt(n) + 1 steps of
-#: :func:`multiplicity`, and a walk of the lattice rows (a mode count, a
-#: multiplicity, the oracle's cutoff) costs one step per row l.
+#: Most rows l = 0, 1, ..., isqrt(top) that one walk of the lattice rows
+#: may take, for a mode count, a multiplicity, a resonance decision or
+#: the oracle's cutoff.
 RESONANCE_SCAN_STEPS = 2 ** 20
 
 
@@ -140,7 +139,6 @@ def multiplicity(n: int) -> int:
     This is the multiplicity of pi^2*n as a Neumann eigenvalue of -Delta
     on the unit square (0 when n is not a sum of two squares).  Ordered
     pairs are counted, so (1, 2) and (2, 1) both contribute for n = 5.
-    An n of more than ``RESONANCE_SCAN_STEPS`` rows raises ValueError.
     """
     n = _integer(n, 0, "n must be an integer", "n must be nonnegative")
     refusal = "n of {} bits: counting its representations"
@@ -151,19 +149,16 @@ def multiplicity(n: int) -> int:
 def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     """Whether a*k^2 lies within ``guard`` of some pi^2*(l^2+m^2).
 
-    Only integer levels n with |a*k^2 - pi^2*n| < guard can qualify, so
-    the scan covers the few integers around a*k^2/pi^2.  Negative
-    thresholds are never resonant unless a*k^2 is within the guard of
-    zero (the l = m = 0 eigenvalue).  A non-finite a*k^2 raises
-    ``ValueError``: it lies on neither side of any eigenvalue.  So does
-    a guard that is not a positive finite number, and so does a positive
-    a*k^2 whose float spacing ``math.ulp`` is at least ``guard`` (from
-    2^23, about 8.4e6, at the default guard): there the rounding of
-    a*k^2 and of pi^2*n alone reaches the guard, so resonance cannot be
-    decided.  A scan whose candidate levels would take more than
-    ``RESONANCE_SCAN_STEPS`` steps of :func:`multiplicity` in all raises
-    ``ValueError`` too, before the step that would pass the limit; a
-    scan within the limit answers as an unbounded one would.
+    The integer levels n with |a*k^2 - pi^2*n| < guard are one run
+    least..top, and one walk of the rows of top decides them all.
+    Negative thresholds are never resonant unless a*k^2 is within the
+    guard of zero (the l = m = 0 eigenvalue).  A non-finite a*k^2 raises
+    ``ValueError``: it lies on neither side of any eigenvalue.  So do a
+    guard that is not a positive finite number, a top of more than
+    ``RESONANCE_SCAN_STEPS`` rows, and a positive a*k^2 whose float
+    spacing ``math.ulp`` is at least ``guard`` (from 2^23, about 8.4e6,
+    at the default guard): there the rounding of a*k^2 and of pi^2*n
+    alone reaches the guard, so resonance cannot be decided.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
@@ -184,19 +179,21 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
         )
     center = round(target / PI2)
     reach = math.ceil(guard / PI2) + 1
-    steps = 0
     for n in range(max(0, center - reach), center + reach + 1):
         if abs(target - PI2 * n) < guard:
-            steps += math.isqrt(n) + 1
-            if steps > RESONANCE_SCAN_STEPS:
-                raise ValueError(
-                    f"a*k^2 = {target!r} with guard {guard}: deciding "
-                    f"resonance takes more than {RESONANCE_SCAN_STEPS} "
-                    f"lattice steps"
-                )
-            if multiplicity(n) > 0:
-                return True
-    return False
+            break
+    else:
+        return False
+    # PI2 * n never decreases in n, so bisect the run for top: a scan
+    # down from a guard of 1e300 would pass ~1e283 levels of one float
+    least, top, above = n, n, center + reach + 1
+    while above - top > 1:
+        n = (top + above) // 2
+        top, above = (n, above) if abs(target - PI2 * n) < guard else (top, n)
+    # row l holds a level of the run iff its highest point reaches least
+    refusal = "a*k^2 = {!r} with guard {}: deciding resonance"
+    rows = enumerate(_row_heights(top, refusal, target, guard))
+    return any(l * l + m * m >= least for l, m in rows)
 
 
 def _checked_threshold(a: float, k: float, guard: float) -> float:

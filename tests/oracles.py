@@ -157,6 +157,22 @@ def lattice_count_below(target: float) -> int:
     )
 
 
+def brute_force_resonant(target: float, guard: float) -> bool:
+    """Whether some pair (l, m) has abs(target - PI2 * n) < guard.
+
+    The brute-force oracle of the resonance gate: every pair with
+    l, m <= isqrt(top), top a level just past (target + guard)/pi^2, is
+    tested on its own with the gate's float test at n = l*l + m*m.
+    """
+    top = max(0, int((target + guard) / PI2) + 2)
+    side = math.isqrt(top) + 1
+    return any(
+        abs(target - PI2 * (l * l + m * m)) < guard
+        for l in range(side)
+        for m in range(side)
+    )
+
+
 def construct_even_multiplicity(target: int) -> int:
     """Level n = 5**(target-1) whose multiplicity is exactly ``target``.
 

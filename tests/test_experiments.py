@@ -117,6 +117,35 @@ class TestSweep:
         assert report.theoretical_bound == d_b - d_a
         assert report.measured_negative <= d_b - d_a < d_b
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        level=st.integers(0, 90),
+        span=st.integers(0, 90),
+        fractions=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    )
+    @example(level=2, span=0, fractions=(0.2, 0.8))
+    @example(level=29, span=51, fractions=(0.5, 0.5))
+    def test_the_paper_bound_between_levels(self, level, span, fractions):
+        # ends strictly between integer levels, 0 < a < b <= 900: at
+        # J = floor(sqrt(b)/pi) + 12 and 2J, count <= d(b) - d(a) <= d(b),
+        # the count does not fall from J to 2J, and a window with
+        # d(a) = d(b) > 0, inside one gap, counts 0
+        top = min(90, level + span)
+        ends = sorted([level + fractions[0], top + fractions[1]])
+        a, b = (PI2 * end for end in ends)
+        assume(a < b)
+        d_a, d_b = positive_eigenvalue_count(a), positive_eigenvalue_count(b)
+        modes = math.floor(math.sqrt(b) / math.pi) + 12
+        counts = []
+        for j in (modes, 2 * modes):
+            (report,) = sweep(a, [b], modes_per_side=j)
+            assert report.theoretical_bound == d_b - d_a
+            assert report.measured_negative <= d_b - d_a <= d_b
+            counts.append(report.measured_negative)
+        assert counts[0] <= counts[1]
+        if d_a == d_b:
+            assert d_a > 0 and counts == [0, 0]
+
     def test_output_follows_input_order(self):
         b_values = [5.0, -9.0, 2.0]
         reports = sweep(-10.0, b_values, modes_per_side=10)

@@ -20,11 +20,11 @@ down its socket, and a pid may have been reused.  No module installs a
 hook that runs in every fork (``os.register_at_fork``).  Only the
 integer gate ``spectrum._integer`` uses ``operator``, so every
 count-like input is decided one way, and only the row walk
-``spectrum._row_heights`` and the resonance scan read the lattice
-budget, so every lattice row counts against it one way.  No module
-reads a private name of another through attribute access
-(``spectrum._x``), so the CLI calls the same public entry points as a
-user of the library.
+``spectrum._row_heights`` reads the lattice budget, so every lattice
+row, those of a resonance decision included, counts against it one
+way.  No module reads a private name of another through attribute
+access (``spectrum._x``), so the CLI calls the same public entry points
+as a user of the library.
 """
 
 import ast
@@ -203,11 +203,9 @@ def test_one_gate_decides_every_count():
     assert gates == INTEGER_GATES, "decide a count through spectrum._integer"
 
 
-#: The one walk of the lattice rows, which owns the row budget, the
-#: resonance scan with its step budget, and the budget's definition
-BUDGET_READERS = {
-    "spectrum.<module>", "spectrum._row_heights", "spectrum.is_resonant",
-}
+#: The one walk of the lattice rows, which owns the row budget, and the
+#: budget's definition
+BUDGET_READERS = {"spectrum.<module>", "spectrum._row_heights"}
 
 
 def test_one_walk_owns_the_row_budget():

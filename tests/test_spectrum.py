@@ -26,6 +26,7 @@ from ndsquare.spectrum import (
 )
 from limits import time_limit
 from oracles import (
+    brute_force_resonant,
     construct_even_multiplicity,
     lattice_count_below,
     neumann_eigenvalue,
@@ -73,6 +74,10 @@ ROW_WALKERS = {
         lambda cutoff: exact_negative_count(-10.0, 5.0, mode_cutoff=cutoff),
         100,
         99,
+    ),
+    # 10001 = 100^2 + 1^2; 9999 = 9 * 11 * 101 is no sum of two squares
+    "is_resonant": (
+        lambda target: is_resonant(target, 1.0), PI2 * 10001, PI2 * 9999
     ),
 }
 
@@ -207,11 +212,15 @@ class TestIsResonant:
         assert is_resonant(-1e308, 1.0) is False
 
     def test_scan_budget(self, monkeypatch):
-        # a guard of 1e6 at 1e20 spans about 2e5 levels near 1e19, each
-        # an O(3e9) multiplicity scan: refused before the first one
-        limit = f"more than {spectrum.RESONANCE_SCAN_STEPS} lattice steps"
-        with pytest.raises(ValueError, match=limit):
-            is_resonant(1e20, 1.0, guard=1e6)
+        # a guard of 1e6 at 1e20 reaches levels near 1e19, whose walk
+        # would take about 3e9 rows: refused before the first one
+        with time_limit(1):
+            with pytest.raises(ValueError) as exc:
+                is_resonant(1e20, 1.0, guard=1e6)
+        assert str(exc.value) == (
+            "a*k^2 = 1e+20 with guard 1000000.0: deciding resonance takes "
+            f"more than {spectrum.RESONANCE_SCAN_STEPS} lattice rows"
+        )
         # within the budget the answer is the unbounded scan's
         cases = [
             (1e12, 1e-3), (2e12, 1e-3), (1e9, 10.0), (1e9, 1e3), (5e5, 1e6),
@@ -219,6 +228,38 @@ class TestIsResonant:
         bounded = [is_resonant(a, 1.0, guard) for a, guard in cases]
         monkeypatch.setattr(spectrum, "RESONANCE_SCAN_STEPS", math.inf)
         assert bounded == [is_resonant(a, 1.0, guard) for a, guard in cases]
+
+    @pytest.mark.parametrize("a,guard", [(4e12, 1e3), (1.0845e13, 1e6)])
+    def test_one_walk_answers_where_a_walk_per_level_ran_out(self, a, guard):
+        # the levels within the guard once cost a walk each, past the
+        # budget after 0.2-0.5 s; the top level alone fits it
+        with time_limit(1):
+            assert is_resonant(a, 1.0, guard) is True
+
+    @pytest.mark.parametrize("a,guard", [(5e14, 1e15), (0.0, 1e300)])
+    def test_a_top_level_past_the_budget_is_refused(self, a, guard):
+        # level 0 lies within the guard, but the top level (about 1.5e14,
+        # or 1e299, which a scan down would never reach) has too many rows
+        with time_limit(1):
+            with pytest.raises(ValueError, match="deciding resonance takes"):
+                is_resonant(a, 1.0, guard)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.integers(0, 10**4),
+        where=st.sampled_from(["on", "near", "off"]),
+        fraction=st.floats(-1.0, 1.0),
+        guard=st.sampled_from([1e-9, 1e-3, 1.0, 10.0, 1e3]),
+    )
+    @example(level=0, where="near", fraction=-0.75, guard=1e-9)
+    @example(level=9999, where="on", fraction=0.0, guard=1e-9)
+    def test_equals_the_brute_force_oracle(self, level, where, fraction, guard):
+        # on a level, within two guards of it, or up to half a spacing off
+        offset = {"on": 0.0, "near": 2 * guard, "off": PI2 / 2}[where]
+        target = PI2 * level + fraction * offset
+        assert is_resonant(target, 1.0, guard) == brute_force_resonant(
+            target, guard
+        )
 
 
 class TestPositiveEigenvalueCount:
