@@ -25,9 +25,9 @@ meaningless, so resonance means "within ``guard`` of an eigenvalue"
 such a coefficient with one :class:`ResonanceError` message instead of
 silently picking a side of the window edge.  Where resonance cannot be
 decided (a non-finite input, a float spacing of a*k^2 that reaches the
-guard), ``is_resonant`` raises ``ValueError``.  Each lattice question,
-resonance included, is one walk of the lattice rows, and a walk of more
-than ``RESONANCE_SCAN_STEPS`` rows raises ``ValueError`` too.
+guard), ``is_resonant`` raises ``ValueError``.  A level is found by one
+bisection, or by one comparison, and each lattice question is then one
+walk of the rows; more than ``RESONANCE_SCAN_STEPS`` rows raise it too.
 """
 
 from __future__ import annotations
@@ -133,6 +133,14 @@ def _row_heights(top: int, refusal: str, *about):
     return (math.isqrt(top - l * l) for l in range(rows))
 
 
+def _first(lo: int, hi: int, rises) -> int:
+    """Least n in lo..hi-1 where the monotone ``rises(n)`` holds, else hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rises(mid) else (mid + 1, hi)
+    return lo
+
+
 def multiplicity(n: int) -> int:
     """Number of ordered pairs (l, m) with l, m >= 0 and l^2 + m^2 = n.
 
@@ -150,15 +158,15 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
     """Whether a*k^2 lies within ``guard`` of some pi^2*(l^2+m^2).
 
     The integer levels n with |a*k^2 - pi^2*n| < guard are one run
-    least..top, and one walk of the rows of top decides them all.
-    Negative thresholds are never resonant unless a*k^2 is within the
-    guard of zero (the l = m = 0 eigenvalue).  A non-finite a*k^2 raises
-    ``ValueError``: it lies on neither side of any eigenvalue.  So do a
-    guard that is not a positive finite number, a top of more than
-    ``RESONANCE_SCAN_STEPS`` rows, and a positive a*k^2 whose float
-    spacing ``math.ulp`` is at least ``guard`` (from 2^23, about 8.4e6,
-    at the default guard): there the rounding of a*k^2 and of pi^2*n
-    alone reaches the guard, so resonance cannot be decided.
+    least..top, bisected at both ends; one walk of the rows of top decides
+    them all.  Negative thresholds are never resonant unless a*k^2 is
+    within the guard of zero (the l = m = 0 eigenvalue).  A non-finite
+    a*k^2 raises ``ValueError``: it lies on neither side of any
+    eigenvalue.  So do a guard that is not a positive finite number, a top
+    of more than ``RESONANCE_SCAN_STEPS`` rows, and a positive a*k^2 whose
+    float spacing ``math.ulp`` is at least ``guard`` (from 2^23, about
+    8.4e6, at the default guard): there the rounding of a*k^2 and of
+    pi^2*n alone reaches the guard, so resonance cannot be decided.
     """
     if not k > 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
@@ -179,17 +187,13 @@ def is_resonant(a: float, k: float, guard: float = DEFAULT_GUARD) -> bool:
         )
     center = round(target / PI2)
     reach = math.ceil(guard / PI2) + 1
-    for n in range(max(0, center - reach), center + reach + 1):
-        if abs(target - PI2 * n) < guard:
-            break
-    else:
+    start, end = max(0, center - reach), center + reach + 1
+    # PI2 * n never decreases in n, so each end of the run is bisected: a
+    # scan would pass ~ulp(target)/pi^2 levels that round to one float
+    least = _first(start, end, lambda n: target - PI2 * n < guard)
+    if not (least < end and abs(target - PI2 * least) < guard):
         return False
-    # PI2 * n never decreases in n, so bisect the run for top: a scan
-    # down from a guard of 1e300 would pass ~1e283 levels of one float
-    least, top, above = n, n, center + reach + 1
-    while above - top > 1:
-        n = (top + above) // 2
-        top, above = (n, above) if abs(target - PI2 * n) < guard else (top, n)
+    top = _first(least, end, lambda n: PI2 * n - target >= guard) - 1
     # row l holds a level of the run iff its highest point reaches least
     refusal = "a*k^2 = {!r} with guard {}: deciding resonance"
     rows = enumerate(_row_heights(top, refusal, target, guard))
@@ -209,22 +213,18 @@ def _checked_threshold(a: float, k: float, guard: float) -> float:
 def _modes_below(target: float) -> int:
     """#{(l, m) : l, m >= 0 and pi^2*(l^2 + m^2) < target}.
 
-    One settle finds the largest level n = top with ``PI2 * n < target``
-    (``PI2 * n`` never decreases as the integer n grows); the count is
-    then the sum of the heights + 1 of the rows up to top.  More than
-    ``RESONANCE_SCAN_STEPS`` rows (from about 1.09e13) raise ValueError.
+    One comparison finds the largest level n = top with ``PI2 * n <
+    target``; the count is then the sum of the heights + 1 of the rows
+    up to top.  More than ``RESONANCE_SCAN_STEPS`` rows (from about
+    1.09e13) raise ValueError.
     """
     if target <= 0:
         return 0
     refusal = "a*k^2 = {!r}: counting the modes below it"
+    # target / PI2 is correctly rounded, so below 2^52 the top is its
+    # integer part or the one below; the walk refuses every top from 2^40 on
     top = int(target / PI2)
-    # refused before the settle, which would never end from about 1e300
-    # on, where a unit step of top does not move PI2 * top
-    _row_heights(top, refusal, target)
-    while PI2 * top >= target:
-        top -= 1
-    while PI2 * (top + 1) < target:
-        top += 1
+    top -= PI2 * top >= target
     return sum(_row_heights(top, refusal, target), math.isqrt(top) + 1)
 
 

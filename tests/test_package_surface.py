@@ -22,9 +22,11 @@ integer gate ``spectrum._integer`` uses ``operator``, so every
 count-like input is decided one way, and only the row walk
 ``spectrum._row_heights`` reads the lattice budget, so every lattice
 row, those of a resonance decision included, counts against it one
-way.  No module reads a private name of another through attribute
-access (``spectrum._x``), so the CLI calls the same public entry points
-as a user of the library.
+way.  The one loop of ``spectrum`` outside a generator expression is
+the bisection ``spectrum._first``, so every lattice level is found one
+way and no search can run on without end.  No module reads a private
+name of another through attribute access (``spectrum._x``), so the CLI
+calls the same public entry points as a user of the library.
 """
 
 import ast
@@ -212,6 +214,24 @@ def test_one_walk_owns_the_row_budget():
     # a second row loop would bring a second copy of the budget check
     readers = {where for where, _ in _references({"RESONANCE_SCAN_STEPS"})}
     assert readers == BUDGET_READERS, "walk rows through spectrum._row_heights"
+
+
+#: The one search loop of spectrum: the bisection for the first level
+#: where a monotone test holds
+SEARCH_LOOPS = {"spectrum._first"}
+
+
+def test_one_bisection_finds_every_level():
+    # a scan or a settle loop of its own once hung where a unit step of
+    # the level did not move its float
+    tree = ast.parse((ROOT / "src" / "ndsquare" / "spectrum.py").read_text())
+    loops = {
+        f"spectrum.{getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+    }
+    assert loops == SEARCH_LOOPS, "find a level through spectrum._first"
 
 
 #: The one place in src that pickles, the parallel solve's frames, and

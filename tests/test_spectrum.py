@@ -236,10 +236,19 @@ class TestIsResonant:
         with time_limit(1):
             assert is_resonant(a, 1.0, guard) is True
 
-    @pytest.mark.parametrize("a,guard", [(5e14, 1e15), (0.0, 1e300)])
+    @pytest.mark.parametrize(
+        "a,guard",
+        [
+            (5e14, 1e15),
+            (0.0, 1e300),
+            (3.784440852166396e38, 3.4810452795245256e27),
+            (1.357142323454884e264, 2.6492005972021313e252),
+        ],
+    )
     def test_a_top_level_past_the_budget_is_refused(self, a, guard):
-        # level 0 lies within the guard, but the top level (about 1.5e14,
-        # or 1e299, which a scan down would never reach) has too many rows
+        # the run of levels within the guard ends far past 2^40 (about
+        # 1.5e14, 1e299, 3.8e37 and 1.4e263), and a scan up to its first
+        # level would pass ~ulp(a)/pi^2 levels that round to one float
         with time_limit(1):
             with pytest.raises(ValueError, match="deciding resonance takes"):
                 is_resonant(a, 1.0, guard)
@@ -249,7 +258,7 @@ class TestIsResonant:
         level=st.integers(0, 10**4),
         where=st.sampled_from(["on", "near", "off"]),
         fraction=st.floats(-1.0, 1.0),
-        guard=st.sampled_from([1e-9, 1e-3, 1.0, 10.0, 1e3]),
+        guard=st.sampled_from([1e-9, 1e-3, 1.0, 10.0, 1e3, 1e4, 1e6]),
     )
     @example(level=0, where="near", fraction=-0.75, guard=1e-9)
     @example(level=9999, where="on", fraction=0.0, guard=1e-9)
@@ -331,6 +340,16 @@ class TestModesBelow:
     def test_equals_the_brute_force_oracle(self, target):
         assert spectrum._modes_below(target) == lattice_count_below(target)
 
+    @given(n=st.integers(0, 2**32))
+    @example(n=2**39 + 2**20 + 1)  # (2^19)^2 + (2^19 + 1)^2
+    @settings(deadline=None)
+    def test_one_ulp_past_a_level_adds_its_multiplicity(self, n):
+        # where target / PI2 is coarse, one comparison still settles top
+        target = PI2 * n
+        past = math.nextafter(target, math.inf)
+        gained = spectrum._modes_below(past) - spectrum._modes_below(target)
+        assert gained == multiplicity(n)
+
     def test_one_ulp_past_a_level_counts_that_level(self):
         # a settle per row once gave 515 here: on the row l = 25,
         # target/PI2 - l^2 rounds to 0, so the row lost its mode (25, 0)
@@ -350,6 +369,9 @@ class TestModesBelow:
         monkeypatch.setattr(spectrum, "RESONANCE_SCAN_STEPS", 100)
         last = PI2 * (100 * 100 - 1) + 1.0
         assert spectrum._modes_below(last) == lattice_count_below(last)
+        # on the level 100^2 itself the top is 9999, of 100 rows
+        level = PI2 * 10**4
+        assert spectrum._modes_below(level) == lattice_count_below(level)
         with pytest.raises(ValueError, match="more than 100 lattice rows"):
             spectrum._modes_below(PI2 * 100 * 100 + 1.0)
 
