@@ -170,11 +170,10 @@ def side_diagonals(
     # both series in one pass: they share the square roots, the sines
     # and the near-level split
     c = np.asarray(PI2 * index * index - ak2, dtype=float)
-    flat = c.ravel()
-    plain = np.empty_like(flat)
-    alternating = np.empty_like(flat)
-    pos = flat > 0
-    x = np.sqrt(flat[pos])
+    plain = np.empty_like(c)
+    alternating = np.empty_like(c)
+    pos = c > 0
+    x = np.sqrt(c[pos])
     # tanh(x) rounds to 1.0 from about x = 19 on, so this is 1/x there
     # bit for bit and needs no large-x form
     plain[pos] = 1.0 / (_map(math.tanh, x) * x)
@@ -187,12 +186,10 @@ def side_diagonals(
     csch[large] = 2.0 * _map(math.exp, -x[large]) / x[large]
     alternating[pos] = csch
     neg = ~pos
-    s = np.sqrt(-flat[neg])
+    s = np.sqrt(-c[neg])
     sin_times_s = _map(math.sin, s) * s
     plain[neg] = -_map(math.cos, s) / sin_times_s
     alternating[neg] = -1.0 / sin_times_s
-    plain = plain.reshape(c.shape)
-    alternating = alternating.reshape(c.shape)
     # the nearest level of row i is pi^2*(i^2 + m0^2) with m0 the integer
     # nearest sqrt(-c)/pi, and m0 = 0 for c >= 0
     m0 = np.rint(np.sqrt(np.where(c < 0.0, -c, 0.0)) / math.pi)

@@ -9,12 +9,11 @@ coefficients
 
     c = 1/(1 - (1 + b*k^2)*lam) - 1/(1 - (1 + a*k^2)*lam),
 
-lam the embedding eigenvalue.  The coefficient is negative exactly when
-pi^2*(l^2+m^2) lies strictly between a*k^2 and b*k^2, so counting
-negative coefficients reproduces the lattice bound of
-:func:`ndsquare.spectrum.negative_eigenvalue_bound` by an entirely
-independent route.  Only signs are consumed downstream, so the H^1
-normalization (which rescales magnitudes but not signs) is omitted.
+lam the embedding eigenvalue.  A coefficient is negative exactly when
+pi^2*(l^2+m^2) lies strictly between a*k^2 and b*k^2, and counting the
+negative ones is the benchmark's cross-check of the lattice bound; it
+stays here until it moves into the tests.  Only signs are consumed, so
+the H^1 normalization (which rescales magnitudes but not signs) is omitted.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .spectrum import (
     PI2,
     ResonanceError,
     _checked_threshold,
+    _first,
     _integer,
     _row_heights,
 )
@@ -84,9 +84,10 @@ def exact_negative_count(
     Every sign change happens at a mode with pi^2*(l^2+m^2) < b*k^2, so
     the count is exact (and equals the lattice bound) once
     pi^2*mode_cutoff^2 > b*k^2; smaller cutoffs raise ``ValueError``,
-    and so does a cutoff past the lattice walk's row budget.  One below
-    it costs about cutoff^2/2 modes at some 6 ns each, about an hour
-    near 2^20 (ROADMAP item 12 moves this oracle out of the package).
+    and so does a cutoff past the lattice walk's row budget.  Only modes
+    l, m <= c are evaluated, c the least accepted cutoff (1 if
+    b*k^2 <= 0): the rest lie at least pi^2*(2c+1) above b*k^2, where
+    (1 + a*k^2)*lam <= (1 + b*k^2)*lam < 1 in float, so none counts.
     A resonant a or b raises the gate's :class:`ResonanceError`; once
     both are accepted, no mode lies within the guard of a*k^2 or b*k^2,
     since a block forms each level as ``PI2 * (l*l + m*m)``, the very
@@ -94,9 +95,9 @@ def exact_negative_count(
 
     Only the modes with m >= l are evaluated: (l, m) and (m, l) have the
     same coefficient, bit for bit.  A block of rows l in [l0, l0 + r)
-    spans columns m in [l0, cutoff]; its leading r-by-r square holds
-    both orders of its pairs and counts with weight 1, and each later
-    column, where m > l, counts with weight 2.
+    spans columns m in [l0, c]; its leading r-by-r square holds both
+    orders of its pairs and counts with weight 1, and each later column,
+    where m > l, counts with weight 2.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got a={a}, b={b}")
@@ -114,7 +115,7 @@ def exact_negative_count(
         )
     for coeff in (a, b):
         _checked_threshold(coeff, k, guard)
-    side = mode_cutoff + 1
+    side = 1 + _first(1, mode_cutoff + 1, lambda c: PI2 * c * c > b * k * k)
     squares = np.arange(float(side))
     squares *= squares  # exact below 2**53: the levels are the scalar ones
     # every block is evaluated in place in the same two buffers: a new

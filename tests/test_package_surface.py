@@ -27,11 +27,19 @@ the bisection ``spectrum._first``, so every lattice level is found one
 way and no search can run on without end.  No module reads a private
 name of another through attribute access (``spectrum._x``), so the CLI
 calls the same public entry points as a user of the library.
+``negative_eigenvalue_bound`` is the one public lattice count: the
+solution-operator count is not exported, and importing the package or
+its CLI does not load ``ndsquare.solution_op``.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import ndsquare
 
@@ -287,3 +295,19 @@ def test_no_module_reads_a_private_attribute_of_another():
         and not node.attr.startswith("__")
     )
     assert reads == [], "use the public entry point of the other module"
+
+
+def test_one_public_lattice_count():
+    # the solution-operator count is the benchmark's cross-check, reached
+    # only through ndsquare.solution_op
+    assert "exact_negative_count" not in ndsquare.__all__
+    with pytest.raises(ImportError):
+        from ndsquare import exact_negative_count  # noqa: F401
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, ndsquare.cli; print('ndsquare.solution_op' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

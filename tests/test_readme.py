@@ -27,7 +27,7 @@ def test_quickstart_runs_and_documented_values_hold():
         for m in map(DOCUMENTED.match, code.splitlines())
         if m is not None
     ]
-    assert [value for _, value in documented] == ["4", "3", "2", "3"]
+    assert [value for _, value in documented] == ["4", "3", "2"]
     for expr, value in documented:
         assert eval(expr, namespace) == int(value), expr
 

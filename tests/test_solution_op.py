@@ -24,6 +24,7 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
 )
 from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE
+from limits import time_limit
 from oracles import lattice_count_below
 from scalar_reference import full_square_negative_count
 
@@ -135,11 +136,13 @@ class TestExactNegativeCount:
         exponent=st.floats(min_value=2.0, max_value=6.0),
     )
     @example(a=-50.0, exponent=6.0)
-    @settings(max_examples=30, deadline=None)
+    @example(a=50.0, exponent=2.0)
+    @settings(max_examples=100, deadline=None)
     def test_matches_lattice_oracle_at_bench_scale(self, a, exponent):
-        # the bench's lattice windows: b log-uniform in [1e2, 1e6], both
-        # ends at least 1e-6 from every level, at the smallest cutoff
-        # the count accepts and one more
+        # the bench gate's exact == bound check on its lattice windows:
+        # b log-uniform in [1e2, 1e6], a in [-50, 50], both ends at least
+        # 1e-6 from every level, at the smallest cutoff the count
+        # accepts and one more
         b = 10.0**exponent
         assume(not is_resonant(a, 1.0, 1e-6))
         assume(not is_resonant(b, 1.0, 1e-6))
@@ -148,10 +151,19 @@ class TestExactNegativeCount:
             smallest += 1
         with pytest.raises(ValueError, match="too small"):
             exact_negative_count(a, b, 1.0, smallest - 1)
-        expected = lattice_count_below(b) - lattice_count_below(a)
-        assert negative_eigenvalue_bound(a, b) == expected
+        bound = negative_eigenvalue_bound(a, b)
+        assert bound == lattice_count_below(b) - lattice_count_below(a)
         for cutoff in (smallest, smallest + 1):
-            assert exact_negative_count(a, b, 1.0, cutoff) == expected
+            assert exact_negative_count(a, b, 1.0, cutoff) == bound
+
+    @pytest.mark.parametrize("a,b", [(-10.0, 5.0), (-20.0, -5.0)])
+    def test_largest_cutoff_costs_only_its_window(self, a, b):
+        # the largest cutoff the row budget accepts once evaluated some
+        # 5e11 modes, about an hour; only the modes up to the least
+        # accepted cutoff can count, and b <= 0 needs l, m <= 1
+        with time_limit(1):
+            count = exact_negative_count(a, b, mode_cutoff=2**20 - 1)
+        assert count == negative_eigenvalue_bound(a, b)
 
     def test_k_scaling(self):
         # window (a*k^2, b*k^2) = (-40, 20) contains levels 0, 1 and 2
@@ -307,10 +319,11 @@ class TestBlockedCount:
 
     def test_memory_stays_flat_in_the_cutoff(self):
         # a whole-lattice evaluation at cutoff 1000 would hold 8 MB per
-        # float array; the blocks keep the peak far below that
+        # float array; the blocks keep the peak far below that (b = 8e6
+        # needs the modes up to 901, the rest cannot count)
         tracemalloc.start()
         try:
-            exact_negative_count(-10.0, 2000.0, 1.0, 1000)
+            exact_negative_count(-10.0, 8e6, 1.0, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
