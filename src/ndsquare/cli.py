@@ -10,9 +10,14 @@ assemble-dump    write the closed-form matrix in the plain-text dump format
 truncation-check per-operator and difference truncation-error estimates
 
 Exit codes: 0 success, 1 invalid flags (usage), 2 precondition or
-resonance errors (one-line diagnostic on stderr).  Output files are
-byte-identical for identical configurations; reals in CSV carry 17
-significant digits and round-trip exactly; JSON holds the records' fields.
+resonance errors, an --out path that cannot be written, a stdout whose
+reader has gone and a --size whose blocks cannot be allocated (one-line
+diagnostic on stderr).  Output files are byte-identical for identical
+configurations; reals in CSV carry 17 significant digits and round-trip
+exactly; JSON holds the records' fields.  The trajectories CSV streams:
+every b is decided before the first byte is written, and each point's
+rows are written once its batch is solved, so memory is flat in the
+grid length.
 """
 
 from __future__ import annotations

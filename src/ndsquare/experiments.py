@@ -374,10 +374,10 @@ def verify_crossing(
     first row's count must equal multiplicity(n), so the window holds no
     other level, and eps must exceed the resonance guard.  k*k must be
     a finite positive normal float, since the level is placed at
-    pi^2*n/k^2.  Then, before any solve, an n of True, 5.0, 5.5 or -1
-    raises ValueError.  multiplicity(n) runs after the first row: a
-    level past the decidability limit fails before it, and a rejected
-    window has been solved once.
+    pi^2*n/k^2, and pi^2*n must fit in a float.  Then, before any solve,
+    an n of True, 5.0, 5.5 or -1 raises ValueError.  multiplicity(n)
+    runs after the first row: a level past the decidability limit fails
+    before it, and a rejected window has been solved once.
     """
     k2 = k * k
     if not (math.isfinite(k2) and k2 >= sys.float_info.min):

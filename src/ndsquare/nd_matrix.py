@@ -507,7 +507,10 @@ def load_matrix(stream: TextIO) -> NdMatrix:
 
     The header does not record the writer's guard, so resonance is
     decided at the next float above ``math.ulp(a*k*k)``, which no guard
-    a positive a*k^2 is written with falls below.
+    a positive a*k^2 is written with falls below: every dump written
+    loads, bit for bit.  A header that names a method other than
+    ``closed_form``, or a size that is not a positive multiple of 4 or
+    does not match the rows, raises ``ValueError``.
     """
     header = stream.readline().split()
     if len(header) != 4:

@@ -147,6 +147,8 @@ def multiplicity(n: int) -> int:
     This is the multiplicity of pi^2*n as a Neumann eigenvalue of -Delta
     on the unit square (0 when n is not a sum of two squares).  Ordered
     pairs are counted, so (1, 2) and (2, 1) both contribute for n = 5.
+    An n from 2^40 on takes more than ``RESONANCE_SCAN_STEPS`` lattice
+    rows and raises ``ValueError``.
     """
     n = _integer(n, 0, "n must be an integer", "n must be nonnegative")
     refusal = "n of {} bits: counting its representations"
@@ -235,7 +237,10 @@ def positive_eigenvalue_count(
 
     Equals #{(l, m) : pi^2*(l^2+m^2) < a*k^2}, counted with
     multiplicity.  Raises :class:`ResonanceError` when (a, k) is
-    resonant, since the strict inequality is then meaningless.
+    resonant, since the strict inequality is then meaningless.  Raises
+    ``ValueError`` where :func:`is_resonant` cannot decide, and for an
+    a*k^2 from about 1.09e13 on, which takes more than
+    ``RESONANCE_SCAN_STEPS`` lattice rows.
     """
     return _modes_below(_checked_threshold(a, k, guard))
 
@@ -252,7 +257,8 @@ def negative_eigenvalue_bound(
 
     Both window ends use strict inequalities; an eigenvalue within
     ``guard`` of either end raises :class:`ResonanceError` rather than
-    being silently included or excluded.
+    being silently included or excluded.  An end past the row budget
+    raises ``ValueError`` as in :func:`positive_eigenvalue_count`.
     """
     lo = _checked_threshold(a, k, guard)
     hi = _checked_threshold(b, k, guard)

@@ -1,7 +1,9 @@
-"""A wall-clock limit that turns a hang into a test failure."""
+"""Limits a test holds its block to: wall-clock time and traced memory."""
 
 import contextlib
 import signal
+import tracemalloc
+import types
 
 
 class Hang(Exception):
@@ -25,3 +27,18 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace the block's allocations; ``.bytes`` is their peak after it.
+
+    The peak is read before tracing stops, also when the block raises.
+    """
+    traced = types.SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        yield traced
+    finally:
+        traced.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()

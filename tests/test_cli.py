@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
 from ndsquare.spectrum import PI2, ProblemParams
 from coefficients import GUARD_EDGE_EXAMPLE
-from limits import time_limit
+from limits import time_limit, traced_peak
 from scalar_reference import per_line_trajectories_csv
 
 
@@ -156,21 +155,17 @@ def test_unusable_grid_exits_1_with_one_line(capsys, grid):
 
 def test_tiny_step_is_refused_before_building_the_grid(capsys):
     # 1e300 points: refused from the point count, without allocating
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
+    with traced_peak() as traced:
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(
                 ["sweep", "--a", "-10", "--b-min", "0", "--b-max", "1",
                  "--b-step", "1e-300", "--size", "8"]
             )
         elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert exc.value.code == 1
     assert elapsed < 2.0
-    assert peak < 1_000_000
+    assert traced.bytes < 1_000_000
     assert "more than" in capsys.readouterr().err
 
 
@@ -346,17 +341,13 @@ class TestTrajectoriesCommand:
 
 def _csv_peak(b_max):
     """Peak traced memory of a step-0.25 trajectories CSV run at size 400."""
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         code = main([
             "trajectories", "--a", "-10", "--b-min", "-9", "--b-max", b_max,
             "--b-step", "0.25", "--size", "400", "--out", os.devnull,
         ])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 0
-    return peak
+    return traced.bytes
 
 
 class TestCrossingCommand:
@@ -544,17 +535,13 @@ class TestAssembleDumpCommand:
         # the dump goes out a line at a time: at --size 400 the rows of
         # the 1.28 MB matrix are never joined into one string
         matrix_bytes = 400 * 400 * 8
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             code = main([
                 "assemble-dump", "--a", "-1", "--size", "400",
                 "--out", os.devnull,
             ])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert code == 0
-        assert peak < 2 * matrix_bytes
+        assert traced.bytes < 2 * matrix_bytes
 
 
 class TestTruncationCheckCommand:
@@ -987,20 +974,15 @@ def test_trajectories_refuses_a_huge_size_before_its_template(
         raise MemoryError(message)
 
     monkeypatch.setattr(experiments, "side_blocks", refuse)
-    tracemalloc.start()
-    try:
-        with time_limit(2):
-            code, out, err = run(
-                capsys, "trajectories", "--a", "-10", "--b", "5",
-                "--size", "400000000",
-            )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with traced_peak() as traced, time_limit(2):
+        code, out, err = run(
+            capsys, "trajectories", "--a", "-10", "--b", "5",
+            "--size", "400000000",
+        )
     assert code == 2
     assert out == ""
     assert err == f"ndsquare trajectories: {message}\n"
-    assert peak < 1_000_000
+    assert traced.bytes < 1_000_000
 
 
 def _cli_bytes(tmp_path, argv, to_file):

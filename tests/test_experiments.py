@@ -12,7 +12,6 @@ import re
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
     positive_eigenvalue_count,
 )
-from limits import time_limit
+from limits import time_limit, traced_peak
 
 
 class TestSweep:
@@ -314,13 +313,9 @@ class TestDifferenceSpectra:
         # 1.15 MB, where a second buffer for them took 1.65 MB
         args = (-10.0, [57.3], 1.0, 250, 1e-9)
         list(experiments.difference_spectra(*args))  # imports and caches
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             list(experiments.difference_spectra(*args))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_400_000
+        assert traced.bytes < 1_400_000
 
     @pytest.mark.parametrize("driver", [sweep, trajectories])
     def test_undecidable_b_fails_before_any_eigensolve(
@@ -996,13 +991,9 @@ class TestVerifyCrossing:
         # where the BATCH_ENTRIES // J² = 655 members of a full batch
         # would take 1.06 MB
         verify_crossing(5, modes_per_side=10)  # imports and caches
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             verify_crossing(5, modes_per_side=10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+        assert traced.bytes < 100_000
 
     def test_expected_equals_multiplicity(self):
         for n in (0, 1, 2, 4, 5):

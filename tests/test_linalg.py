@@ -1,7 +1,5 @@
 """Tests for the symmetric eigenvalue utilities and truncation estimators."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -109,44 +107,6 @@ class TestSpectralNorm:
         norm = spectral_norm(m)
         assert norm <= np.linalg.norm(m, "fro") + 1e-12
         assert norm >= np.max(np.abs(np.diag(m))) - 1e-12
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Sorted eigenvalues of a symmetric matrix plus the negative count.
-
-    ``negative_count`` is #{lambda : lambda < -tolerance} and
-    ``eigenvalues`` is sorted descending with multiplicity.
-    """
-
-    eigenvalues: tuple[float, ...]
-    tolerance: float
-    negative_count: int
-
-
-def spectrum_report(matrix: np.ndarray, delta: float) -> SpectrumReport:
-    """Eigendecompose and count negatives under the given threshold."""
-    eigs = symmetric_eigenvalues(matrix)
-    return SpectrumReport(
-        eigenvalues=tuple(float(v) for v in eigs),
-        tolerance=delta,
-        negative_count=count_negative(eigs, delta),
-    )
-
-
-class TestSpectrumReport:
-    def test_consistency(self):
-        m = np.diag([2.0, -3.0, 1e-7, -1e-7])
-        report = spectrum_report(m, 1e-5)
-        assert report.negative_count == 1
-        assert report.tolerance == 1e-5
-        assert len(report.eigenvalues) == 4
-        assert list(report.eigenvalues) == sorted(
-            report.eigenvalues, reverse=True
-        )
-        assert report.negative_count == count_negative(
-            report.eigenvalues, report.tolerance
-        )
 
 
 class TestTruncationError:

@@ -29,7 +29,9 @@ name of another through attribute access (``spectrum._x``), so the CLI
 calls the same public entry points as a user of the library.
 ``negative_eigenvalue_bound`` is the one public lattice count: the
 solution-operator count is not exported, and importing the package or
-its CLI does not load ``ndsquare.solution_op``.
+its CLI does not load ``ndsquare.solution_op``.  The ``test`` extra of
+``pyproject.toml`` names every third-party module the tests import, and
+the CI workflow installs it, so no test is skipped for a missing module.
 """
 
 import ast
@@ -311,3 +313,40 @@ def test_one_public_lattice_count():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def _test_extra() -> set[str]:
+    text = (ROOT / "pyproject.toml").read_text()
+    (extra,) = re.findall(r"^test = \[(.*)\]$", text, re.M)
+    return set(re.findall(r'"([\w-]+)', extra))
+
+
+def _test_imports() -> set[str]:
+    """Top-level modules the tests import or pass to importorskip."""
+    modules = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module)
+            elif (
+                isinstance(node, ast.Call)
+                and _used_names(node.func) >= {"pytest", "importorskip"}
+            ):
+                modules.add(node.args[0].value)
+    return {module.split(".")[0] for module in modules}
+
+
+def test_the_test_extra_holds_every_test_dependency():
+    # a module missing from the extra skips the tests that need it
+    local = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    third_party = (
+        _test_imports() - set(sys.stdlib_module_names) - local
+        - {"ndsquare", "numpy"}
+    )
+    extra = _test_extra()
+    assert third_party - extra == set(), "add it to the test extra"
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    (install,) = re.findall(r"run: python -m pip install (.*)", workflow)
+    assert extra - set(install.split()) == set(), "install it in CI"

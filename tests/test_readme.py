@@ -1,9 +1,11 @@
-"""The README's quickstart and command lines run and give what it documents."""
+"""The README's quickstart and command lines run and give what it
+documents, and it names every public name of the package."""
 
 import re
 import shlex
 from pathlib import Path
 
+import ndsquare
 from ndsquare import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -27,7 +29,7 @@ def test_quickstart_runs_and_documented_values_hold():
         for m in map(DOCUMENTED.match, code.splitlines())
         if m is not None
     ]
-    assert [value for _, value in documented] == ["4", "3", "2"]
+    assert [value for _, value in documented] == ["4", "3", "2", "0"]
     for expr, value in documented:
         assert eval(expr, namespace) == int(value), expr
 
@@ -76,3 +78,13 @@ def test_command_outputs_hold(capsys):
     for argv, output in documented:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == output + "\n"
+
+
+def test_every_public_name_is_in_the_readme():
+    # the package namespace holds the names the README uses
+    text = README.read_text()
+    missing = [
+        name for name in ndsquare.__all__
+        if not re.search(rf"(?<![\w-]){name}(?![\w-])", text)
+    ]
+    assert missing == [], "document it in README.md or drop it from __all__"

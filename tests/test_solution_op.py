@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from ndsquare.spectrum import (
     negative_eigenvalue_bound,
 )
 from coefficients import COEFFICIENT, GUARD_EDGE_EXAMPLE
-from limits import time_limit
+from limits import time_limit, traced_peak
 from oracles import lattice_count_below
 from scalar_reference import full_square_negative_count
 
@@ -321,10 +320,6 @@ class TestBlockedCount:
         # a whole-lattice evaluation at cutoff 1000 would hold 8 MB per
         # float array; the blocks keep the peak far below that (b = 8e6
         # needs the modes up to 901, the rest cannot count)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             exact_negative_count(-10.0, 8e6, 1.0, 1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        assert traced.bytes < 2_000_000
