@@ -1,3 +1,4 @@
 from .cli import console_entry
 
-console_entry()
+if __name__ == "__main__":
+    console_entry()

@@ -96,9 +96,10 @@ def _add_common(parser: argparse.ArgumentParser, *, tol: bool = True) -> None:
 
 def _add_b_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", type=float, action="append", default=None,
-                        help="single b value (repeatable; argparse takes time "
-                             "quadratic in the number of --b flags, so give a "
-                             "long grid as --b-min/--b-max/--b-step)")
+                        help="single b value (repeatable; before Python 3.13 "
+                             "argparse takes time quadratic in the number of "
+                             "--b flags, so give a long grid as "
+                             "--b-min/--b-max/--b-step)")
     parser.add_argument("--b-min", type=float, default=None)
     parser.add_argument("--b-max", type=float, default=None)
     parser.add_argument("--b-step", type=float, default=None)

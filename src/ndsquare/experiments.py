@@ -24,21 +24,12 @@ eigenvalue counts as negative only when it lies below -delta, 1e-5 by
 default (``DEFAULT_DELTA``), so that truncation and rounding noise
 around zero is never mistaken for a genuine sign change.
 
-All three consume :func:`difference_spectra`, the one experiment loop.
-It solves the grid in batches of points, all in one next-side block
-buffer, with one :func:`~ndsquare.nd_matrix.side_blocks` and one
-:func:`~ndsquare.nd_matrix.circulant_spectrum` call per batch, and yields
-a consumer's finished per-point result ``each(b, spectrum)`` in grid
-order as soon as the point's batch is solved, so a consumer that
-streams holds one batch at a time.  On Linux, in a process with one
-thread, forked helper processes solve every W-th batch on the other
-CPUs of the affinity mask, apply ``each`` to its points and send each
-batch's results back over a socket as one plain pickle, so the
-results are built where the batch was solved
-(``numpy.linalg.eigvalsh`` holds the GIL, so threads would not
-overlap); elsewhere the loop is serial.  The dense 4J×4J matrix is
-never formed, and the outputs are deterministic functions of the
-inputs, bit for bit the same on any number of CPUs.
+All three consume :func:`difference_spectra`, the one experiment loop:
+it solves the grid in batches with the block solver of ``nd_matrix``
+and never forms the dense 4J×4J matrix.  On Linux :func:`_solved`
+spreads the batches over forked helpers (``numpy.linalg.eigvalsh``
+holds the GIL, so threads would not overlap), and the outputs are bit
+for bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -246,9 +237,10 @@ def difference_spectra(
     :func:`side_blocks` call on the batch's array of b·k² and one
     :func:`circulant_spectrum` call per batch, which builds and solves
     its problems in that buffer, so the heap is not trimmed and faulted
-    back in at each batch.  Each
-    spectrum is bit for bit that of b alone, and each result is yielded
-    as soon as its batch is solved.  No 4J×4J matrix is formed.
+    back in at each batch.  Each spectrum is bit for bit that of b
+    alone, and each result is yielded as soon as its batch is solved,
+    so a consumer that streams holds one batch at a time.  No 4J×4J
+    matrix is formed.
 
     The first next() spreads the batches over the CPUs (see
     :func:`_solved`): ``each`` runs on a solved point in the process

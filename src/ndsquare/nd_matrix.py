@@ -24,24 +24,15 @@ transpose.  All entries are exact values of the infinite matrix;
 truncation keeps modes j < modes_per_side per side, giving a dense
 symmetric matrix of size 4*modes_per_side.
 
-``side_blocks`` evaluates the three distinct blocks once (the offset-0
-and offset-2 diagonals and the offset-1 block; offset 3 is its
-transpose), each as one array expression over the mode index, from
-a*k^2 and J alone; an array of a*k^2 values gives a batch of blocks in
-the same pass.  Both diagonals come from one pass of
-:func:`side_diagonals`, bit for bit the scalar closed forms, and
-``same_side_entry`` and ``opposite_side_entry`` are that pass at one
-mode of a validated coefficient.  The experiments and the truncation
-estimators never form the dense matrix: ``circulant_spectrum`` splits
-the block-circulant operator of the side blocks, or of a difference of
-two, by the square's symmetry and the sign (-1)^i of the offset-1
-block into four real symmetric eigenproblems of order about J/2 and
-one of order J, all built in that block's storage from its parity
-blocks, which it overwrites.  It takes leading batch axes, so the
-experiments solve a batch of grid points in the same five eigensolves.
-``assemble`` interleaves the same blocks into the dense matrix, which
-is the content of the dump, and ``symmetric_eigenvalues`` of it is the
-test oracle for that solver.  The closed forms themselves are checked
+``side_blocks`` evaluates the three distinct blocks (offset 3 is the
+transpose of offset 1), for one a*k^2 or a batch of them; it is the
+only closed-form evaluation of the matrix.  The experiments and the
+truncation estimators never form the dense matrix: ``circulant_spectrum``
+solves the block-circulant operator of the side blocks, or of a
+difference of two, as five real symmetric eigenproblems.  ``assemble``
+interleaves the same blocks into the dense matrix, which is the content
+of the dump, and ``symmetric_eigenvalues`` of it is the test oracle for
+that solver.  The closed forms themselves are checked
 against a truncation of the underlying double series over interior
 modes, which lives with the tests (``tests/oracles.py``).
 

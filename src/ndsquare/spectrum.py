@@ -97,8 +97,10 @@ class ProblemParams:
         If ``a * k**2`` lies within ``guard`` of pi^2*(l^2+m^2) for some
         mode, i.e. the Neumann problem is (numerically) ill-posed.
     ValueError
-        If k <= 0, modes_per_side is not an integer >= 1, or
-        guard <= 0.
+        If k <= 0, modes_per_side is not an integer >= 1, guard is not
+        a positive finite number, a*k^2 is not finite, or a*k^2 is
+        beyond the decidability limit (``ProblemParams(a=1e300)``):
+        wherever :func:`is_resonant` cannot decide.
     """
 
     a: float
@@ -112,11 +114,6 @@ class ProblemParams:
         )
         # is_resonant refuses a k or a guard that is not positive
         _checked_threshold(self.a, self.k, self.guard)
-
-    @property
-    def size(self) -> int:
-        """Size 4*modes_per_side of the truncated matrix."""
-        return 4 * self.modes_per_side
 
 
 def _row_heights(top: int, refusal: str, *about):

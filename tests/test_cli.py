@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 import ndsquare
 from ndsquare import experiments, nd_matrix
-from ndsquare.cli import SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, main
+from ndsquare.cli import (
+    SWEEP_CSV_HEADER, TRAJECTORIES_CSV_HEADER, build_parser, main,
+)
 from ndsquare.experiments import trajectories
 from ndsquare.nd_matrix import assemble, load_matrix
-from ndsquare.spectrum import PI2, ProblemParams
+from ndsquare.spectrum import DEFAULT_GUARD, PI2, ProblemParams
 from coefficients import GUARD_EDGE_EXAMPLE
 from limits import time_limit, traced_peak
 from scalar_reference import per_line_trajectories_csv
@@ -763,6 +765,38 @@ def test_usage_errors_name_the_subcommand(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: ndsquare {argv[0]}")
     assert f"ndsquare {argv[0]}: error:" in err
+
+
+#: Each documented default, as the help of every subcommand prints it
+HELP_DEFAULTS = {
+    "k": 1.0, "size": 400, "tol": experiments.DEFAULT_DELTA,
+    "guard": DEFAULT_GUARD, "out": None,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--a", "-10"],
+        ["trajectories", "--a", "-10"],
+        ["crossing", "--n", "5"],
+        ["assemble-dump", "--a", "-1"],
+        ["truncation-check", "--a", "-10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_help_shows_each_parser_default(argv):
+    # a "(default X)" is prose beside the constant; this keeps them equal
+    args = build_parser().parse_args(argv)
+    text = " ".join(args.parser.format_help().split())
+    shown = {}
+    for m in re.finditer(r"\(default (?P<value>[^)]+)\)", text):
+        flag = re.findall(r"--([\w-]+) [A-Z_]+ ", text[: m.start()])[-1]
+        shown[flag] = m["value"]
+    assert shown.keys() == HELP_DEFAULTS.keys() & vars(args).keys()
+    for flag, value in shown.items():
+        value = None if value == "stdout" else float(value)
+        assert value == args.parser.get_default(flag) == HELP_DEFAULTS[flag]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

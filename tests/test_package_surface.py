@@ -32,6 +32,10 @@ solution-operator count is not exported, and importing the package or
 its CLI does not load ``ndsquare.solution_op``.  The ``test`` extra of
 ``pyproject.toml`` names every third-party module the tests import, and
 the CI workflow installs it, so no test is skipped for a missing module.
+No module acts when it is merely imported: outside its definitions and
+an ``if __name__ == "__main__":`` check, no statement of a ``src``
+module makes a call, so ``import ndsquare.__main__`` prints nothing,
+while ``python -m ndsquare`` runs the CLI.
 """
 
 import ast
@@ -350,3 +354,42 @@ def test_the_test_extra_holds_every_test_dependency():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     (install,) = re.findall(r"run: python -m pip install (.*)", workflow)
     assert extra - set(install.split()) == set(), "install it in CI"
+
+
+def _is_main_check(node: ast.stmt) -> bool:
+    return (
+        isinstance(node, ast.If)
+        and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+
+
+def test_no_module_makes_a_call_when_imported():
+    # a module that runs code at import runs it in every importer, the
+    # tests and the bench included
+    calls = sorted(
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text()).body
+        if not isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+        and not _is_main_check(top)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+    )
+    assert calls == [], "call it under an if __name__ == '__main__' check"
+
+
+def test_the_package_runs_as_a_module_and_imports_silently():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def python(*argv):
+        result = subprocess.run(
+            [sys.executable, *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    assert python("-c", "import ndsquare.__main__") == (0, "", "")
+    bound = ("bound", "--a", "-10", "--b", "15")
+    assert python("-m", "ndsquare", *bound) == (0, "3\n", "")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ndsquare import spectrum
 from ndsquare.experiments import sweep, trajectories, verify_crossing
 from ndsquare.nd_matrix import (
+    assemble,
     difference_truncation_error,
     opposite_side_entry,
     same_side_entry,
@@ -449,9 +450,9 @@ class TestConstructEvenMultiplicity:
 
 
 class TestProblemParams:
-    def test_size(self):
-        assert ProblemParams(a=-1.0, k=1.0, modes_per_side=25).size == 100
-        assert ProblemParams(a=-1.0, modes_per_side=np.int64(3)).size == 12
+    def test_accepts_a_numpy_integer_mode_count(self):
+        params = ProblemParams(a=-1.0, modes_per_side=np.int64(3))
+        assert assemble(params).entries.shape == (12, 12)
 
     def test_rejects_nonpositive_wavenumber(self):
         with pytest.raises(ValueError):
