@@ -23,7 +23,6 @@ grid length.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -300,13 +299,10 @@ def _run_truncation_check(parser: _Parser, args: argparse.Namespace) -> int:
             f"--size must correspond to an even mode count for halving, "
             f"got size={args.size} (J={j_modes})"
         )
-    params_a = ProblemParams(
-        a=args.a, k=args.k, modes_per_side=j_modes, guard=args.guard
-    )
-    per_a = nd_matrix.truncation_error(params_a)
+    per_a = nd_matrix.truncation_error(args.a, args.k, j_modes, args.guard)
     per_b = diff = None
     if args.b is not None:
-        per_b = nd_matrix.truncation_error(dataclasses.replace(params_a, a=args.b))
+        per_b = nd_matrix.truncation_error(args.b, args.k, j_modes, args.guard)
         diff = nd_matrix.difference_truncation_error(
             args.a, args.b, args.k, j_modes, args.guard
         )

@@ -37,19 +37,20 @@ against a truncation of the underlying double series over interior
 modes, which lives with the tests (``tests/oracles.py``).
 
 Two truncation-error estimators take their spectral norms from
-``circulant_spectrum``.  ``truncation_error`` compares one assembly at
-J modes per side against its truncation at J/2, zero-padded back to
-full size; since s = 4j + p puts the low frequencies at the low
-indices, that truncation is the upper-left 4*(J/2) corner and the
-difference is the discarded border.  For a *single* operator the
-border carries the slowly decaying same-side diagonal (~ 1/(pi*j)), so
-the estimate decays only like 1/J.  ``difference_truncation_error``
-makes the same comparison for the difference of two operators, where
-the diagonals cancel to O(1/j^3); that is the error that matters when
-counting negative eigenvalues of such differences, and it is several
-orders of magnitude smaller.  Each estimator builds its own side
-blocks and zeroes the kept corner in place.  ``ndsquare
-truncation-check`` prints both.
+``circulant_spectrum``, and both take the coefficients as numbers.
+``truncation_error(a, k, J)`` compares one assembly at J modes per side
+against its truncation at J/2, zero-padded back to full size; since
+s = 4j + p puts the low frequencies at the low indices, that truncation
+is the upper-left 4*(J/2) corner and the difference is the discarded
+border.  For a *single* operator the border carries the slowly
+decaying same-side diagonal (~ 1/(pi*j)), so the estimate decays only
+like 1/J.  ``difference_truncation_error(a, b, k, J)`` makes the same
+comparison for the difference of two operators, where the diagonals
+cancel to O(1/j^3); that is the error that matters when counting
+negative eigenvalues of such differences, and it is several orders of
+magnitude smaller.  Each estimator builds its own side blocks and
+zeroes the kept corner in place.  ``ndsquare truncation-check`` prints
+both.
 
 Poles of the closed forms (vanishing denominators, cot/csc poles and
 branch points) all correspond to a*k^2 hitting a Neumann eigenvalue
@@ -430,26 +431,30 @@ def _border_norm(blocks: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
-def truncation_error(params: ProblemParams) -> float:
-    """Spectral norm of the border lost when halving the truncation.
+def truncation_error(
+    a: float,
+    k: float = 1.0,
+    modes_per_side: int = 250,
+    guard: float = DEFAULT_GUARD,
+) -> float:
+    """Spectral norm of the border lost when halving the truncation at a.
 
-    Assembles the matrix at ``params.modes_per_side`` once and returns
-    the spectral norm of everything outside its upper-left corner of
-    half the mode count.  That corner is the assembly at half the mode
-    count (the interleaved index order s = 4j + p puts the low
-    frequencies there), so this is the norm of the difference to the
-    half-size matrix zero-padded back to full size.  The border is
-    block-circulant like the matrix, so its norm comes from
-    :func:`circulant_spectrum` of the side blocks.
+    Assembles the matrix of (a, k) at ``modes_per_side`` once and
+    returns the spectral norm of everything outside its upper-left
+    corner of half the mode count.  That corner is the assembly at half
+    the mode count (the order s = 4j + p puts the low frequencies
+    there), so this is the norm of the difference to the half-size
+    matrix zero-padded back to full size.  The border is block-circulant
+    like the matrix, so its norm comes from :func:`circulant_spectrum`
+    of the side blocks.
 
     Decreases like 1/modes_per_side: the dominant lost entries are the
     same-side diagonal values ~ 1/(pi*j) at j = modes_per_side/2.  See
     :func:`difference_truncation_error` for the much smaller error of
     operator differences.
     """
-    return _border_norm(
-        side_blocks(params.a * params.k * params.k, params.modes_per_side)
-    )
+    ProblemParams(a=a, k=k, modes_per_side=modes_per_side, guard=guard)
+    return _border_norm(side_blocks(a * k * k, modes_per_side))
 
 
 def difference_truncation_error(
@@ -468,10 +473,8 @@ def difference_truncation_error(
     cancel in the difference, so this decays like
     |b - a| / modes_per_side^3.
     """
-    for coefficient in (b, a):
-        ProblemParams(
-            a=coefficient, k=k, modes_per_side=modes_per_side, guard=guard
-        )
+    for value in (b, a):
+        ProblemParams(a=value, k=k, modes_per_side=modes_per_side, guard=guard)
     blocks = side_blocks(b * k * k, modes_per_side)
     base = side_blocks(a * k * k, modes_per_side)
     for block, base_block in zip(blocks, base):

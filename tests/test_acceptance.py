@@ -13,7 +13,6 @@ note on the two truncation estimators.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,8 +59,8 @@ def test_criterion_1_truncation_error_single_operator():
     """
     a, j_modes, j_small = -10.0, 250, 126
     params = ProblemParams(a=a, k=1.0, modes_per_side=j_modes)
-    value = truncation_error(params)
-    coarse = truncation_error(replace(params, modes_per_side=4))
+    value = truncation_error(a, 1.0, j_modes)
+    coarse = truncation_error(a, 1.0, 4)
     assert coarse > value  # coarser truncation is strictly worse
 
     lower = same_side_entry(j_modes // 2, a)
@@ -70,9 +69,7 @@ def test_criterion_1_truncation_error_single_operator():
     border[:corner, :corner] = 0.0
     upper = float(np.max(np.sum(np.abs(border), axis=1)))
     scaled = j_modes * value
-    scaled_small = j_small * truncation_error(
-        replace(params, modes_per_side=j_small)
-    )
+    scaled_small = j_small * truncation_error(a, 1.0, j_small)
     rate_gap = abs(scaled - scaled_small) / scaled
 
     checks = {

@@ -577,11 +577,10 @@ class TestTruncationCheckCommand:
     @staticmethod
     def _estimates(b):
         # the public estimators at a = -10 and J = 8, as --size 32 gives
-        params_a = ProblemParams(a=-10.0, modes_per_side=8)
-        per_a = nd_matrix.truncation_error(params_a)
+        per_a = nd_matrix.truncation_error(-10.0, modes_per_side=8)
         if b is None:
             return per_a, None, None
-        per_b = nd_matrix.truncation_error(ProblemParams(a=b, modes_per_side=8))
+        per_b = nd_matrix.truncation_error(b, modes_per_side=8)
         diff = nd_matrix.difference_truncation_error(-10.0, b, modes_per_side=8)
         return per_a, per_b, diff
 

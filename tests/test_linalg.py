@@ -112,13 +112,10 @@ class TestSpectralNorm:
 class TestTruncationError:
     def test_rejects_odd_mode_count(self):
         with pytest.raises(ValueError):
-            truncation_error(ProblemParams(a=-10.0, modes_per_side=5))
+            truncation_error(-10.0, modes_per_side=5)
 
     def test_decreases_with_truncation_level(self):
-        values = [
-            truncation_error(ProblemParams(a=-10.0, k=1.0, modes_per_side=j))
-            for j in (4, 8, 16, 32)
-        ]
+        values = [truncation_error(-10.0, 1.0, j) for j in (4, 8, 16, 32)]
         assert values == sorted(values, reverse=True)
 
     def test_matches_hand_computation(self):
@@ -127,7 +124,7 @@ class TestTruncationError:
         half = assemble(ProblemParams(a=-1.0, k=1.0, modes_per_side=1)).entries
         padded = np.zeros_like(full)
         padded[:4, :4] = half
-        assert truncation_error(params) == pytest.approx(
+        assert truncation_error(-1.0, 1.0, 2) == pytest.approx(
             spectral_norm(full - padded), rel=1e-13
         )
 
@@ -155,7 +152,7 @@ class TestDifferenceTruncationError:
 
     def test_far_below_per_operator_error(self):
         # the slowly decaying diagonals cancel in the difference
-        per_op = truncation_error(ProblemParams(a=-10.0, modes_per_side=16))
+        per_op = truncation_error(-10.0, 1.0, 16)
         diff = difference_truncation_error(-10.0, 5.0, 1.0, 16)
         assert diff < per_op / 10.0
 
@@ -302,8 +299,8 @@ class TestStackedPairs:
             return new
 
         monkeypatch.setattr(nd_matrix, "circulant_spectrum", both)
-        truncation_error(ProblemParams(a=-10.0, modes_per_side=j_modes))
-        truncation_error(ProblemParams(a=200.0, modes_per_side=j_modes))
+        truncation_error(-10.0, modes_per_side=j_modes)
+        truncation_error(200.0, modes_per_side=j_modes)
         for a, b in ((-10.0, 200.0), (3.0, 57.3), (57.3, 57.3)):
             difference_truncation_error(a, b, modes_per_side=j_modes)
         assert len(seen) == 5

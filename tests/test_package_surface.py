@@ -27,6 +27,10 @@ the bisection ``spectrum._first``, so every lattice level is found one
 way and no search can run on without end.  No module reads a private
 name of another through attribute access (``spectrum._x``), so the CLI
 calls the same public entry points as a user of the library.
+Among the functions of ``ndsquare.__all__`` only ``assemble`` takes a
+``ProblemParams``, since the ``NdMatrix`` it returns carries one; every
+other computation takes the coefficients as numbers, so each has one
+calling convention.
 ``negative_eigenvalue_bound`` is the one public lattice count: the
 solution-operator count is not exported, and importing the package or
 its CLI does not load ``ndsquare.solution_op``.  The ``test`` extra of
@@ -39,6 +43,7 @@ while ``python -m ndsquare`` runs the CLI.
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -301,6 +306,20 @@ def test_no_module_reads_a_private_attribute_of_another():
         and not node.attr.startswith("__")
     )
     assert reads == [], "use the public entry point of the other module"
+
+
+def test_only_assemble_takes_problem_params():
+    # a computation that takes a ProblemParams makes its callers build
+    # and copy one, beside siblings that take the same numbers directly
+    public = [getattr(ndsquare, name) for name in ndsquare.__all__]
+    takers = sorted(
+        function.__name__
+        for function in public
+        if inspect.isfunction(function)
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.annotation in ("ProblemParams", ndsquare.ProblemParams)
+    )
+    assert takers == ["assemble"], "take the coefficient as a number"
 
 
 def test_one_public_lattice_count():

@@ -15,6 +15,7 @@ from ndsquare.nd_matrix import (
     difference_truncation_error,
     opposite_side_entry,
     same_side_entry,
+    truncation_error,
 )
 from ndsquare.solution_op import exact_negative_count
 from ndsquare.spectrum import (
@@ -520,6 +521,10 @@ class TestOneResonanceMessage:
         pytest.param(
             lambda: trajectories(LEVEL_5, [60.0], modes_per_side=4),
             id="trajectories",
+        ),
+        pytest.param(
+            lambda: truncation_error(LEVEL_5, modes_per_side=4),
+            id="truncation_error",
         ),
         pytest.param(
             lambda: difference_truncation_error(
